@@ -10,7 +10,7 @@ Exit codes (stable):
   2  usage error
   3  network validation failed
   4  infeasible (no admissible placement exists / oracle found none)
-  5  enumeration budget exceeded
+  5  oracle enumeration budget exceeded
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 
 from . import __version__
 from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
-from .evaluation import DEFAULT_COSET_BUDGET, LinearCode, eval_linear_code, eval_uncoded
+from .evaluation import LinearCode, eval_linear_code, eval_uncoded
 from .model import (
     NetworkSpec,
     Placement,
@@ -143,9 +143,7 @@ def cmd_eval(args) -> int:
         with open(args.code, encoding="utf-8") as fh:
             code = LinearCode.from_dict(json.load(fh))
         expanded = expand_multifile(spec)
-        report, recovery = eval_linear_code(
-            expanded.network, code, budget=args.budget or DEFAULT_COSET_BUDGET
-        )
+        report, recovery = eval_linear_code(expanded.network, code)
         payload = report.to_dict()
         payload["recovery"] = recovery.to_dict()
     print(f"average latency: {_fmt(report.average)}")
@@ -252,8 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--placement", help="JSON list of [node id, file index] pairs")
     p.add_argument("--code", help="JSON object {q, generator} for coded storage")
-    p.add_argument("--budget", type=int, default=None,
-                   help="decoding-coset enumeration cap")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle", help="brute-force minimum for small networks")

@@ -24,3 +24,11 @@ class InvalidInputError(GeoplanError, ValueError):
 
 class BudgetExceededError(GeoplanError, RuntimeError):
     """An enumeration would exceed its configured budget."""
+
+
+class AuditError(GeoplanError, RuntimeError):
+    """An internal cross-check disagreed: a bug in geoplan, not bad input.
+
+    Raised explicitly rather than by ``assert`` so audits also run
+    under ``python -O``.
+    """

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
 from .model import NetworkSpec, Placement
 from .nngraph import NearestNeighborGraph, is_admissible
 from .rational import frac_decimal, frac_str
-
-#: decoding-set enumeration cap: q ** (n - k) cosets per file
-DEFAULT_COSET_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -235,55 +231,34 @@ def _code_matrix(spec: NetworkSpec, code: LinearCode):
     return f, columns
 
 
-def eval_linear_code(
-    spec: NetworkSpec,
-    code: LinearCode,
-    budget: int = DEFAULT_COSET_BUDGET,
-) -> tuple[LatencyReport, RecoveryPlan]:
-    """Evaluate a linear storage code by exhausting each file's decodings.
+def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport, RecoveryPlan]:
+    """Evaluate a linear storage code exactly, one linear solve per node.
 
-    For file j the usable decoding vectors form a coset of the
-    generator's kernel, q ** (n - k) of them; a node's latency for j is
-    the cheapest coset element's worst contacted distance (contacting
-    itself is free).  Raises when the coset count exceeds ``budget``.
+    Node v's latency for file j is the smallest radius around v whose
+    stored symbols decode j, i.e. whose generator columns span e_j
+    (contacting itself is free).  The recovery vector is canonical:
+    solve G x = e_j with the columns ordered by (RTT from v, node
+    index) and free entries zero.  Row reduction then picks pivots in
+    distance order, so the vector's farthest nonzero entry lies on
+    exactly that smallest radius.
     """
     f, matrix = _code_matrix(spec, code)
     n = spec.node_count
     k = spec.file_count
-    particulars, null_basis = solution_space(f, matrix)
-    d = len(null_basis)
-    cosets = f.order**d
-    if cosets > budget:
-        raise BudgetExceededError(
-            f"{cosets} decoding candidates per file exceed the budget of {budget}"
-        )
     latencies: list[tuple[Fraction, ...]] = []
     chosen: list[tuple[tuple[int, ...], ...]] = []
-    per_file: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for j in range(k):
-        options = []
-        for combo in product(f.elements(), repeat=d):
-            x = list(particulars[j])
-            for c, basis in zip(combo, null_basis):
-                if c:
-                    for s in range(n):
-                        x[s] = f.add(x[s], f.mul(c, basis[s]))
-            options.append((tuple(x), tuple(s for s in range(n) if x[s])))
-        per_file.append(options)
     for v in range(n):
+        dist = spec.rtt[v]
+        order = sorted(range(n), key=lambda s: (dist[s], s))
+        particulars, _ = solution_space(f, [[g[s] for s in order] for g in matrix])
         row = []
         picks = []
-        for j in range(k):
-            best: Fraction | None = None
-            best_x: tuple[int, ...] | None = None
-            for x, support in per_file[j]:
-                worst = max(spec.rtt[v][s] for s in support)
-                if best is None or worst < best:
-                    best = worst
-                    best_x = x
-            assert best is not None and best_x is not None
-            row.append(best)
-            picks.append(best_x)
+        for y in particulars:
+            x = [f.zero] * n
+            for s, c in zip(order, y):
+                x[s] = c
+            row.append(max(dist[s] for s, c in zip(order, y) if c))
+            picks.append(tuple(x))
         latencies.append(tuple(row))
         chosen.append(tuple(picks))
     report = _finish_report(spec, tuple(latencies))

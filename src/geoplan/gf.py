@@ -69,9 +69,6 @@ class PrimeField:
             raise ZeroDivisionError("no inverse of 0")
         return pow(a, self.order - 2, self.order)
 
-    def elements(self):
-        return range(self.order)
-
     def coerce(self, a: int) -> int:
         return a % self.order
 
@@ -120,9 +117,6 @@ class BinaryField:
         if a == 0:
             raise ZeroDivisionError("no inverse of 0")
         return self.pow(a, self.order - 2)
-
-    def elements(self):
-        return range(self.order)
 
     def coerce(self, a: int) -> int:
         if 0 <= a < self.order:

@@ -362,17 +362,16 @@ def spec_from_dict(data: dict) -> NetworkSpec:
     try:
         file_count = int(data["files"])
         nodes = data["nodes"]
-        rtt = data["rtt"]
+        node_ids = []
+        capacities = []
+        demands = []
+        for entry in nodes:
+            node_ids.append(str(entry["id"]))
+            capacities.append(int(entry.get("capacity", 1)))
+            demands.append([to_fraction(x) for x in entry.get("demands", [])])
+        return make_spec(node_ids, data["rtt"], demands, file_count, capacities)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed network file: {exc}") from exc
-    node_ids = []
-    capacities = []
-    demands = []
-    for entry in nodes:
-        node_ids.append(str(entry["id"]))
-        capacities.append(int(entry.get("capacity", 1)))
-        demands.append([to_fraction(x) for x in entry.get("demands", [])])
-    return make_spec(node_ids, rtt, demands, file_count, capacities)
 
 
 def load_spec(

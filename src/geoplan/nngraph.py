@@ -84,10 +84,6 @@ class ExtendedGraph:
             masks[b] |= 1 << a
         return tuple(masks)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [b for a, b in self.edges if a == v] + [a for a, b in self.edges if b == v]
-        return tuple(sorted(out))
-
 
 def _check_buildable(spec: NetworkSpec) -> None:
     if not spec.is_unit_capacity:

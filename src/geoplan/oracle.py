@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import BudgetExceededError, InvalidInputError
+from .errors import AuditError, BudgetExceededError, InvalidInputError
 from .evaluation import eval_uncoded
 from .model import NetworkSpec, Placement, expand_multifile, require_valid
 from .nngraph import enumerate_nngs
@@ -171,7 +171,8 @@ def brute_force_placement(
     for files in raw_witnesses:
         # independent confirmation on the exact rational path
         report = eval_uncoded(work, files)
-        assert report.average == best_value
+        if report.average != best_value:
+            raise AuditError(f"witness scores {report.average}, search found {best_value}")
         projected = expanded.project_placement(Placement.from_files(files))
         if projected.files_by_node not in seen:
             seen.add(projected.files_by_node)

@@ -26,7 +26,7 @@ from .assignment import (
     tx_latency_matrix,
 )
 from .coloring import Coloring, Infeasible, find_coloring, iter_colorings
-from .errors import InvalidSpecError
+from .errors import AuditError, InvalidSpecError
 from .evaluation import LatencyReport, eval_uncoded
 from .model import ExpandedSpec, NetworkSpec, Placement, expand_multifile, require_valid
 from .nngraph import NearestNeighborGraph, build_extended_graph, enumerate_nngs
@@ -245,12 +245,19 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
     # audit: assignment-side optimum must match direct nearest-holder
     # evaluation exactly, and admissible plans must hit the per-node floor
     work_report = eval_uncoded(work, expanded_placement)
-    assert work_report.average == file_map.cost
-    assert work_report.meets_bounds()
+    if work_report.average != file_map.cost:
+        raise AuditError(
+            f"assignment cost {file_map.cost} != direct average {work_report.average}"
+        )
+    if not work_report.meets_bounds():
+        raise AuditError("admissible placement misses a worst-case floor")
 
     placement = expanded.project_placement(expanded_placement)
     report = eval_uncoded(spec, placement)
-    assert report.average == work_report.average
+    if report.average != work_report.average:
+        raise AuditError(
+            f"projected average {report.average} != expanded average {work_report.average}"
+        )
 
     return PlanReport(
         placement=placement,

@@ -158,22 +158,25 @@ def test_eval_code(tmp_path, capsys):
     assert payload["recovery"]["schema"] == "recovery-plan/1"
 
 
-def test_eval_code_budget_exit(tmp_path, capsys):
-    code_file = tmp_path / "code.json"
-    code_file.write_text(json.dumps({"q": 2, "generator": [[1, 0], [0, 1], [1, 1]]}))
-    spec_file = tmp_path / "micro.json"
+def test_eval_large_mds_code(tmp_path, capsys):
+    # q ** (n - k) = 19 ** 10 decoding vectors per file: far too many to list
+    n, k = 14, 4
     spec = gp.make_spec(
-        ("n1", "n2", "n3"),
-        ((0, 4, 1), (4, 0, 2), (1, 2, 0)),
-        [[F(1, 6)] * 2 for _ in range(3)],
-        2,
+        [f"n{i}" for i in range(n)],
+        [[abs(u - v) for v in range(n)] for u in range(n)],
+        [[F(1, n * k)] * k for _ in range(n)],
+        k,
     )
+    spec_file = tmp_path / "line.json"
     gp.save_spec(spec, str(spec_file))
-    code = cli.main([
-        "eval", "--spec", str(spec_file), "--code", str(code_file), "--budget", "1",
-    ])
-    assert code == 5
-    assert "budget exceeded" in capsys.readouterr().err
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(gp.mds_code(n, k).to_dict()))
+    eval_file = tmp_path / "eval.json"
+    assert cli.main([
+        "eval", "--spec", str(spec_file), "--code", str(code_file), "--out", str(eval_file),
+    ]) == 0
+    payload = json.loads(eval_file.read_text())
+    assert payload["worst_case"] == payload["worst_case_bounds"]
 
 
 def test_eval_code_multi_capacity_expands(multi_file, capsys):
@@ -286,12 +289,41 @@ def test_malformed_spec_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "broken",
+    [
+        {"nodes": [1, 2]},
+        {"nodes": [{"demands": [1]}, {"id": "b", "demands": [0]}]},
+        {"nodes": [{"id": "a", "demands": [None, 0.5]}, {"id": "b", "demands": [0, 0.5]}]},
+        {"rtt": [[0, True], [1, 0]]},
+        {"nodes": 5},
+    ],
+    ids=["node-not-object", "node-without-id", "null-demand", "boolean-rtt", "nodes-not-list"],
+)
+def test_malformed_network_fields_exit_1(tmp_path, capsys, broken):
+    data = {
+        "files": 2,
+        "nodes": [{"id": "a", "demands": [0.25, 0.25]}, {"id": "b", "demands": [0.25, 0.25]}],
+        "rtt": [[0, 1], [1, 0]],
+    }
+    data.update(broken)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["validate", "--spec", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["plan"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate", "--spec", EX1])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--spec", EX1, "--code", EX1, "--budget", "1"])
     assert exc.value.code == 2
 
 

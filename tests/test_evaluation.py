@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import geoplan as gp
+from geoplan.gf import field, matrix_rank
 from conftest import random_admissible_pair, random_spec
 
 F = Fraction
@@ -191,13 +192,6 @@ def test_code_admissibility_detects_rank_gaps(ex1, ex1_nng):
     assert not gp.code_is_admissible(ex1, code, ex1_nng)
 
 
-def test_eval_code_budget_guard():
-    spec = micro_spec()
-    code = gp.LinearCode(2, ((1, 0), (0, 1), (1, 1)))
-    with pytest.raises(gp.BudgetExceededError):
-        gp.eval_linear_code(spec, code, budget=1)
-
-
 def test_eval_code_rejects_rank_deficiency():
     spec = micro_spec()
     code = gp.LinearCode(2, ((1, 0), (1, 0), (1, 0)))
@@ -229,3 +223,54 @@ def test_mds_meets_bounds_on_random_instances():
         assert gp.code_is_admissible(spec, code, nng)
         report, _ = gp.eval_linear_code(spec, code)
         assert report.meets_bounds()
+
+
+def _decoding_radii(f, columns, dist):
+    """Latency of one node for every file, straight from the definition:
+    the least, over node sets S whose columns span e_j, of the farthest
+    distance to a member of S."""
+    k, n = len(columns), len(columns[0])
+    radii = [None] * k
+    for mask in range(1, 1 << n):
+        members = [s for s in range(n) if mask >> s & 1]
+        sub = [[row[s] for s in members] for row in columns]
+        rank = matrix_rank(f, sub)
+        far = max(dist[s] for s in members)
+        for j in range(k):
+            aug = [row + [int(i == j)] for i, row in enumerate(sub)]
+            if matrix_rank(f, aug) == rank and (radii[j] is None or far < radii[j]):
+                radii[j] = far
+    return radii
+
+
+def test_code_latency_matches_decoding_definition():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 40:
+        q = rng.choice((2, 3, 4, 5, 7, 8))
+        n = rng.randint(2, 7)
+        k = rng.randint(1, min(n, 4))
+        f = field(q)
+        generator = tuple(tuple(rng.randrange(q) for _ in range(k)) for _ in range(n))
+        columns = [[generator[s][j] for s in range(n)] for j in range(k)]
+        if matrix_rank(f, columns) < k:
+            continue
+        # few distinct distances, so ties in the column order are common
+        rtt = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                rtt[u][v] = rtt[v][u] = rng.randint(1, 3)
+        spec = gp.make_spec(
+            [f"n{i}" for i in range(n)], rtt, [[F(1, n * k)] * k for _ in range(n)], k
+        )
+        report, plan = gp.eval_linear_code(spec, gp.LinearCode(q, generator))
+        for v in range(n):
+            assert list(report.latencies[v]) == _decoding_radii(f, columns, rtt[v])
+            for j, x in enumerate(plan.vectors[v]):
+                for i in range(k):
+                    total = f.zero
+                    for s in range(n):
+                        total = f.add(total, f.mul(generator[s][i], x[s]))
+                    assert total == (f.one if i == j else f.zero)
+                assert max(rtt[v][s] for s in range(n) if x[s]) == report.latencies[v][j]
+        checked += 1

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +226,41 @@ def test_plan_multi_random_projection_consistency():
         assert slots == sum(spec.capacities)
         assert gp.eval_uncoded(spec, report.placement).average == report.value
     assert checked >= 5
+
+
+# Skews every direct evaluation the planner and the oracle audit against,
+# then records which audits still fire with asserts compiled out.
+SKEWED_AUDITS = """
+import dataclasses, sys
+import geoplan as gp
+from geoplan import oracle, planner
+
+real = gp.eval_uncoded
+
+def skewed(spec, placement):
+    report = real(spec, placement)
+    return dataclasses.replace(report, average=report.average + 1)
+
+fired = [str(sys.flags.optimize)]
+for module, run in ((planner, gp.plan), (oracle, gp.brute_force_placement)):
+    module.eval_uncoded = skewed
+    try:
+        run(gp.example_instance())
+    except gp.AuditError:
+        fired.append(module.__name__)
+    module.eval_uncoded = real
+print(*fired)
+"""
+
+
+def test_audits_fire_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SKEWED_AUDITS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "geoplan.planner", "geoplan.oracle"]
