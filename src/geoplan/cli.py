@@ -124,9 +124,11 @@ def _read_placement(path: str, spec: NetworkSpec) -> Placement:
             node_id, j = entry
         except (TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad placement entry {entry!r}") from exc
-        if node_id not in by_node:
+        if not isinstance(node_id, str) or node_id not in by_node:
             raise InvalidInputError(f"unknown node id {node_id!r} in placement")
-        by_node[str(node_id)].append(int(j))
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise InvalidInputError(f"file index {j!r} of node {node_id!r} is not an integer")
+        by_node[node_id].append(j)
     return Placement(files_by_node=tuple(tuple(by_node[i]) for i in spec.node_ids))
 
 

@@ -69,15 +69,13 @@ def wc_lower_bounds(spec: NetworkSpec) -> tuple[Fraction, ...]:
         if need <= 0:
             bounds.append(Fraction(0))
             continue
-        reach = sorted(
-            (spec.rtt[v][u], spec.capacities[u]) for u in range(n) if u != v
-        )
+        dist = spec.rtt_scaled[v]
         got = 0
         bound = None
-        for dist, cap in reach:
-            got += cap
+        for u in sorted((u for u in range(n) if u != v), key=dist.__getitem__):
+            got += spec.capacities[u]
             if got >= need:
-                bound = dist
+                bound = spec.rtt[v][u]
                 break
         if bound is None:
             raise InvalidSpecError("network cannot hold every file once")
@@ -116,8 +114,8 @@ def eval_uncoded(spec: NetworkSpec, placement) -> LatencyReport:
         raise InvalidInputError(f"no node holds file {min(missing)}")
     holders = [plc.holders(j) for j in range(k)]
     latencies = tuple(
-        tuple(min(spec.rtt[v][s] for s in holders[j]) for j in range(k))
-        for v in range(spec.node_count)
+        tuple(row[min(holders[j], key=dist.__getitem__)] for j in range(k))
+        for row, dist in zip(spec.rtt, spec.rtt_scaled)
     )
     return _finish_report(spec, latencies)
 
@@ -248,8 +246,7 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
     latencies: list[tuple[Fraction, ...]] = []
     chosen: list[tuple[tuple[int, ...], ...]] = []
     for v in range(n):
-        dist = spec.rtt[v]
-        order = sorted(range(n), key=lambda s: (dist[s], s))
+        order = sorted(range(n), key=spec.rtt_scaled[v].__getitem__)
         particulars, _ = solution_space(f, [[g[s] for s in order] for g in matrix])
         row = []
         picks = []
@@ -257,7 +254,8 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
             x = [f.zero] * n
             for s, c in zip(order, y):
                 x[s] = c
-            row.append(max(dist[s] for s, c in zip(order, y) if c))
+            farthest = max(i for i, c in enumerate(y) if c)
+            row.append(spec.rtt[v][order[farthest]])
             picks.append(tuple(x))
         latencies.append(tuple(row))
         chosen.append(tuple(picks))

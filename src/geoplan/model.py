@@ -21,6 +21,9 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, InvalidSpecError
@@ -47,6 +50,25 @@ class NetworkSpec:
     @property
     def is_unit_capacity(self) -> bool:
         return all(c == 1 for c in self.capacities)
+
+    @cached_property
+    def rtt_scale(self) -> int:
+        """Least common multiple of the RTT denominators."""
+        return lcm(*(t.denominator for row in self.rtt for t in row))
+
+    @cached_property
+    def rtt_scaled(self) -> tuple[tuple[int, ...], ...]:
+        """The RTT matrix as exact integers: every entry times ``rtt_scale``.
+
+        One positive common scale keeps order and ties exactly those of
+        ``rtt``, so code that only orders or compares round-trip times
+        works on these integers and reports the ``Fraction`` of the same
+        cell.  Computed once per spec object.
+        """
+        scale = self.rtt_scale
+        return tuple(
+            tuple(t.numerator * (scale // t.denominator) for t in row) for row in self.rtt
+        )
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -77,16 +99,32 @@ def make_spec(
     file_count: int,
     capacities: Sequence[int] | None = None,
 ) -> NetworkSpec:
-    """Build a NetworkSpec, coercing all numeric entries to Fraction."""
+    """Build a NetworkSpec, coercing matrix entries to Fraction and
+    counts to int (InvalidInputError for non-integral counts)."""
     ids = tuple(str(i) for i in node_ids)
-    caps = tuple(int(c) for c in capacities) if capacities is not None else (1,) * len(ids)
+    caps = (
+        tuple(_count(c, "capacity") for c in capacities)
+        if capacities is not None
+        else (1,) * len(ids)
+    )
     return NetworkSpec(
         node_ids=ids,
         capacities=caps,
         rtt=tuple(tuple(to_fraction(x) for x in row) for row in rtt),
         demands=tuple(tuple(to_fraction(x) for x in row) for row in demands),
-        file_count=int(file_count),
+        file_count=_count(file_count, "file count"),
     )
+
+
+def _count(value, what: str) -> int:
+    """An integral count: an int or an integral rational such as 3.0."""
+    try:
+        exact = to_fraction(value)
+    except (TypeError, ValueError):
+        exact = None
+    if exact is None or exact.denominator != 1:
+        raise InvalidInputError(f"{what} must be an integer, got {value}")
+    return exact.numerator
 
 
 @dataclass(frozen=True)
@@ -156,33 +194,41 @@ def validate_spec(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
     if not shape_ok:
         err("rtt-shape", f"rtt matrix must be {n}x{n}")
     else:
+        rtt = spec.rtt_scaled
         for u in range(n):
-            if spec.rtt[u][u] != 0:
+            if rtt[u][u] != 0:
                 err(
                     "rtt-diagonal",
                     f"rtt from {spec.node_ids[u]} to itself must be 0",
                     (u,),
                 )
             for v in range(u + 1, n):
-                if spec.rtt[u][v] < 0:
+                if rtt[u][v] < 0:
                     err(
                         "rtt-negative",
                         f"negative rtt between {spec.node_ids[u]} and {spec.node_ids[v]}",
                         (u, v),
                     )
-                if spec.rtt[u][v] != spec.rtt[v][u]:
+                if rtt[u][v] != rtt[v][u]:
                     err(
                         "rtt-asymmetric",
                         f"asymmetric rtt between {spec.node_ids[u]} and {spec.node_ids[v]}",
                         (u, v),
                     )
         severity = "error" if strict else "warning"
+        columns = tuple(zip(*rtt))
         for u in range(n):
+            ru = rtt[u]
             for v in range(u + 1, n):
+                cv = columns[v]
+                # at most every two-hop time (w = u and w = v included):
+                # no breach, so skip the exact per-w scan
+                if ru[v] <= min(map(add, ru, cv)):
+                    continue
                 for w in range(n):
                     if w in (u, v):
                         continue
-                    if spec.rtt[u][v] > spec.rtt[u][w] + spec.rtt[w][v]:
+                    if ru[v] > ru[w] + cv[w]:
                         out.append(
                             Violation(
                                 "triangle",
@@ -360,14 +406,14 @@ def spec_from_dict(data: dict) -> NetworkSpec:
     if not isinstance(data, dict):
         raise InvalidInputError("network file must contain a JSON object")
     try:
-        file_count = int(data["files"])
+        file_count = data["files"]
         nodes = data["nodes"]
         node_ids = []
         capacities = []
         demands = []
         for entry in nodes:
             node_ids.append(str(entry["id"]))
-            capacities.append(int(entry.get("capacity", 1)))
+            capacities.append(entry.get("capacity", 1))
             demands.append([to_fraction(x) for x in entry.get("demands", [])])
         return make_spec(node_ids, data["rtt"], demands, file_count, capacities)
     except (KeyError, TypeError, ValueError) as exc:

@@ -112,11 +112,12 @@ def build_nng(
     _check_buildable(spec)
     key = tie_break or (lambda node_id: node_id)
     k = spec.file_count
+    rtt = spec.rtt_scaled
     chosen: list[tuple[int, ...]] = []
     for v in range(spec.node_count):
         order = sorted(
             (s for s in range(spec.node_count) if s != v),
-            key=lambda s: (spec.rtt[s][v], key(spec.node_ids[s])),
+            key=lambda s: (rtt[s][v], key(spec.node_ids[s])),
         )
         chosen.append(tuple(sorted(order[: k - 1])))
     return NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=tuple(chosen))
@@ -140,23 +141,22 @@ def enumerate_nngs(spec: NetworkSpec, cap: int = 64) -> NngEnumeration:
     """
     _check_buildable(spec)
     k = spec.file_count
+    need = k - 1
+    columns = tuple(zip(*spec.rtt_scaled))
     per_node_choices: list[list[tuple[int, ...]]] = []
     total = 1
     for v in range(spec.node_count):
-        order = sorted(
-            (s for s in range(spec.node_count) if s != v),
-            key=lambda s: (spec.rtt[s][v], s),
-        )
-        need = k - 1
         if need == 0:
             per_node_choices.append([()])
             continue
-        threshold = spec.rtt[order[need - 1]][v]
-        forced = [s for s in order if spec.rtt[s][v] < threshold]
-        tier = sorted(s for s in order if spec.rtt[s][v] == threshold)
-        slots = need - len(forced)
+        column = columns[v]
+        others = [s for s in range(spec.node_count) if s != v]
+        threshold = sorted(column[s] for s in others)[need - 1]
+        forced = [s for s in others if column[s] < threshold]
+        tier = [s for s in others if column[s] == threshold]
         choices = [
-            tuple(sorted(forced + list(picked))) for picked in combinations(tier, slots)
+            tuple(sorted(forced + list(picked)))
+            for picked in combinations(tier, need - len(forced))
         ]
         total *= len(choices)
         per_node_choices.append(choices)

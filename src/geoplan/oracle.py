@@ -52,11 +52,9 @@ class OracleResult:
 
 def _integer_scale(spec: NetworkSpec):
     """Scale RTTs and demands to integers; score = int_score / (R * P)."""
-    r_div = lcm(*(x.denominator for row in spec.rtt for x in row), 1)
     p_div = lcm(*(x.denominator for row in spec.demands for x in row), 1)
-    rtt_i = [[int(x * r_div) for x in row] for row in spec.rtt]
     dem_i = [[int(x * p_div) for x in row] for row in spec.demands]
-    return rtt_i, dem_i, r_div * p_div
+    return spec.rtt_scaled, dem_i, spec.rtt_scale * p_div
 
 
 def brute_force_placement(

@@ -297,8 +297,15 @@ def test_malformed_spec_file(tmp_path, capsys):
         {"nodes": [{"id": "a", "demands": [None, 0.5]}, {"id": "b", "demands": [0, 0.5]}]},
         {"rtt": [[0, True], [1, 0]]},
         {"nodes": 5},
+        {"files": 3.7},
+        {"files": True},
+        {"nodes": [{"id": "a", "capacity": 1.5, "demands": [0.25, 0.25]},
+                   {"id": "b", "demands": [0.25, 0.25]}]},
+        {"nodes": [{"id": "a", "capacity": True, "demands": [0.25, 0.25]},
+                   {"id": "b", "demands": [0.25, 0.25]}]},
     ],
-    ids=["node-not-object", "node-without-id", "null-demand", "boolean-rtt", "nodes-not-list"],
+    ids=["node-not-object", "node-without-id", "null-demand", "boolean-rtt", "nodes-not-list",
+         "fractional-files", "boolean-files", "fractional-capacity", "boolean-capacity"],
 )
 def test_malformed_network_fields_exit_1(tmp_path, capsys, broken):
     data = {
@@ -310,6 +317,35 @@ def test_malformed_network_fields_exit_1(tmp_path, capsys, broken):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert cli.main(["validate", "--spec", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_integral_decimal_counts_are_accepted(tmp_path, capsys):
+    data = {
+        "files": 2.0,
+        "nodes": [{"id": "a", "capacity": 2.0, "demands": [0.25, 0.25]},
+                  {"id": "b", "demands": [0.25, 0.25]}],
+        "rtt": [[0, 1], [1, 0]],
+    }
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["expand", "--spec", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert payload["files"] == 2
+    assert [n["id"] for n in payload["nodes"]] == ["a#1", "a#2", "b"]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["A", None], ["A", 1.5], ["A", "x"], ["A", True], [["A"], 2]],
+    ids=["null", "float", "string", "bool", "list-node-id"],
+)
+def test_eval_rejects_malformed_placement_entry(tmp_path, capsys, entry):
+    placement_file = tmp_path / "p.json"
+    placement_file.write_text(json.dumps([entry, ["B", 1], ["C", 2], ["D", 0]]))
+    assert cli.main(["eval", "--spec", EX1, "--placement", str(placement_file)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err

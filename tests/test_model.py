@@ -85,6 +85,107 @@ def test_shape_checks():
     assert "rtt-shape" in kinds(result)
 
 
+
+def test_counts_must_be_integral():
+    half = Fraction(1, 2)
+    rtt = ((0, 1), (1, 0))
+    demands = ((half, 0), (0, half))
+    spec = gp.make_spec(("X", "Y"), rtt, demands, Fraction(2), capacities=(2.0, Fraction(1)))
+    assert spec.file_count == 2 and spec.capacities == (2, 1)
+    assert all(type(c) is int for c in (spec.file_count, *spec.capacities))
+    for files, caps in [(Fraction(5, 2), None), (True, None), (None, None),
+                        (2, (Fraction(3, 2), 1)), (2, (True, 1)), (2, (1.5, 1))]:
+        with pytest.raises(gp.InvalidInputError, match="must be an integer"):
+            gp.make_spec(("X", "Y"), rtt, demands, files, capacities=caps)
+
+
+# --- the exact integer RTT view -----------------------------------------
+
+
+def test_rtt_scaled_is_cached_and_exact():
+    third, close = "2/6", Fraction(333, 1000)
+    spec = gp.make_spec(("X", "Y", "Z"), ((0, third, close), (third, 0, 1.5), (close, 1.5, 0)),
+                        ((Fraction(1, 3),), (Fraction(1, 3),), (Fraction(1, 3),)), 1)
+    assert spec.rtt_scale == 3000
+    assert spec.rtt_scaled == ((0, 1000, 999), (1000, 0, 4500), (999, 4500, 0))
+    assert spec.rtt_scaled is spec.rtt_scaled
+    cells = [(u, v) for u in range(3) for v in range(3)]
+    for a in cells:
+        for b in cells:
+            x, y = spec.rtt[a[0]][a[1]], spec.rtt[b[0]][b[1]]
+            sx, sy = spec.rtt_scaled[a[0]][a[1]], spec.rtt_scaled[b[0]][b[1]]
+            assert (x < y, x == y) == (sx < sy, sx == sy)
+
+
+def reference_rtt_violations(spec, strict):
+    """The RTT checks of validate_spec, written out on Fractions."""
+    ids, rtt, n = spec.node_ids, spec.rtt, spec.node_count
+    out = []
+    for u in range(n):
+        if rtt[u][u] != 0:
+            out.append(gp.Violation("rtt-diagonal", f"rtt from {ids[u]} to itself must be 0",
+                                    "error", (u,)))
+        for v in range(u + 1, n):
+            if rtt[u][v] < 0:
+                out.append(gp.Violation("rtt-negative",
+                                        f"negative rtt between {ids[u]} and {ids[v]}",
+                                        "error", (u, v)))
+            if rtt[u][v] != rtt[v][u]:
+                out.append(gp.Violation("rtt-asymmetric",
+                                        f"asymmetric rtt between {ids[u]} and {ids[v]}",
+                                        "error", (u, v)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            for w in range(n):
+                if w not in (u, v) and rtt[u][v] > rtt[u][w] + rtt[w][v]:
+                    out.append(gp.Violation(
+                        "triangle",
+                        f"triangle inequality breach: rtt({ids[u]},{ids[v]}) > "
+                        f"rtt({ids[u]},{ids[w]}) + rtt({ids[w]},{ids[v]})",
+                        "error" if strict else "warning",
+                        (u, w, v),
+                    ))
+    return tuple(out)
+
+
+def test_triangle_breach_by_one_scaled_unit():
+    # scale 210: X-Z = 210 units against a detour of 70 + 139 = 209 units;
+    # X-W ties its detour through Y exactly (70 + 140) and is no breach
+    rtt = ((0, Fraction(1, 3), 1, 1), (Fraction(1, 3), 0, Fraction(139, 210), Fraction(2, 3)),
+           (1, Fraction(139, 210), 0, 1), (1, Fraction(2, 3), 1, 0))
+    spec = gp.make_spec("XYZW", rtt, [[Fraction(1, 4)]] * 4, 1)
+    assert spec.rtt_scale == 210
+    assert [v.witness for v in gp.validate_spec(spec).violations] == [(0, 1, 2)]
+
+
+def test_triangle_scan_matches_fraction_definition():
+    rng = random.Random(20261018)
+
+    def cell():
+        return Fraction(rng.randint(-3, 40), rng.choice((1, 3, 7, 10)))
+
+    breaches = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        rtt = [[cell() for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.7:
+            for u in range(n):
+                for v in range(u):
+                    rtt[u][v] = rtt[v][u]
+                if rng.random() < 0.8:
+                    rtt[u][u] = Fraction(0)
+        if rng.random() < 0.3:
+            u, v = rng.randrange(n), rng.randrange(n)
+            rtt[u][v] = -abs(rtt[u][v])
+        spec = gp.make_spec([f"n{i}" for i in range(n)], rtt,
+                            [[Fraction(1, n)] for _ in range(n)], 1)
+        for strict in (False, True):
+            got = gp.validate_spec(spec, strict=strict).violations
+            assert got == reference_rtt_violations(spec, strict)
+        breaches += sum(v.kind == "triangle" for v in got)
+    assert breaches > 1000
+
+
 # --- placements ---------------------------------------------------------
 
 

@@ -188,3 +188,30 @@ def test_dot_outputs_are_deterministic(ex1, ex1_nng):
     hdot = gp.extended_to_dot(h)
     assert '"A" -- "B";' in hdot
     assert '"A" -- "C"' not in hdot
+
+
+def test_exact_ties_in_supply_graphs_and_floors():
+    # 1/3 and 2/6 tie exactly; 333/1000 is strictly closer than both
+    t, c = "1/3", Fraction(333, 1000)
+    rtt = (
+        (0, t, "2/6", c, 1),
+        (t, 0, Fraction(1, 2), 1, t),
+        ("2/6", Fraction(1, 2), 0, t, c),
+        (c, 1, t, 0, 1),
+        (1, t, c, 1, 0),
+    )
+    share = Fraction(1, 15)
+    spec = gp.make_spec("ABCDE", rtt, [[share] * 3] * 5, 3)
+    enum = gp.enumerate_nngs(spec)
+    # A: D forced, B or C; B: A and E tied; C: E forced, A or D; D: A, C; E: C, B
+    assert enum.total == 4 and not enum.truncated
+    choices = [sorted({g.in_neighbors[v] for g in enum.graphs}) for v in range(5)]
+    assert choices == [[(1, 3), (2, 3)], [(0, 4)], [(0, 4), (3, 4)], [(0, 2)], [(1, 2)]]
+    assert gp.build_nng(spec).in_neighbors == ((1, 3), (0, 4), (0, 4), (0, 2), (1, 2))
+    reverse = gp.build_nng(spec, tie_break=lambda node_id: -ord(node_id))
+    assert reverse.in_neighbors == ((2, 3), (0, 4), (3, 4), (0, 2), (1, 2))
+
+    third = Fraction(1, 3)
+    assert gp.wc_lower_bounds(spec) == (third,) * 5
+    two = gp.make_spec("ABCDE", rtt, [[share] * 3] * 5, 3, capacities=(2, 1, 1, 1, 1))
+    assert gp.wc_lower_bounds(two) == (c, third, third, c, third)
