@@ -8,46 +8,60 @@ contributions over a color class of the conflict graph gives a k x k
 cost matrix over (class, file) pairs, and picking the best file per
 class is a balanced assignment problem.
 
-Two exact solvers are provided and must agree: the classic matrix
-method (row reduction, zero matching, minimum line cover, adjust by the
-smallest uncovered entry) which can emit a step trace, and an O(k^3)
-shortest-augmenting-path solver used as a cross-check.  Both run on
-exact rationals and break ties between optimal bijections the same
-way: lexicographically smallest (class, file) mapping.
+The solver is the classic matrix method (row reduction, zero matching,
+minimum line cover, adjust by the smallest uncovered entry), which can
+emit a step trace.  It breaks ties between optimal bijections
+canonically: lexicographically smallest (class, file) mapping.  Costs
+are exact integers over the network's ``cost_scale``; a ``Fraction`` is
+built only for a reported value (``FileMap.cost``, trace matrices and
+adjustments, and the ``values`` views).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Sequence
 
 from .coloring import Coloring
-from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError
 from .model import NetworkSpec
 from .nngraph import NearestNeighborGraph
-from .rational import frac_str, to_fraction
-
-#: largest matrix brute_force_assignment will accept (k! blowup)
-BRUTE_FORCE_LIMIT = 9
+from .rational import common_denominator, frac_str, scale_matrix, to_fraction, unscale_matrix
 
 
 @dataclass(frozen=True)
 class TxLatencyMatrix:
     """Per (sender, file): demand-weighted cost of that sender holding
-    that file, summed over everything the sender supplies."""
+    that file, summed over everything the sender supplies.
+
+    ``scaled`` holds the costs as exact integers over ``scale``;
+    ``values`` is the same matrix as Fractions.
+    """
 
     node_ids: tuple[str, ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        return unscale_matrix(self.scaled, self.scale)
 
 
 @dataclass(frozen=True)
 class ColorCostMatrix:
-    """Rows follow the coloring's class order, columns are files."""
+    """Rows follow the coloring's class order, columns are files.
+
+    ``scaled`` holds the costs as exact integers over ``scale``;
+    ``values`` is the same matrix as Fractions.
+    """
 
     classes: tuple[tuple[int, ...], ...]
-    values: tuple[tuple[Fraction, ...], ...]
+    scaled: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        return unscale_matrix(self.scaled, self.scale)
 
 
 @dataclass(frozen=True)
@@ -111,21 +125,20 @@ def tx_latency_matrix(spec: NetworkSpec, nng: NearestNeighborGraph) -> TxLatency
 
     Returns:
         Matrix whose (s, j) entry sums rtt(s, v) * demand(v, j) over the
-        nodes v supplied by s (s itself included at zero distance).
+        nodes v supplied by s (s itself included at zero distance), on
+        the network's ``cost_scale``.
     """
     if not spec.is_unit_capacity:
         raise InvalidSpecError("transmit costs need a unit-capacity network; expand first")
     if spec.node_ids != nng.node_ids:
         raise InvalidInputError("graph and network disagree on nodes")
-    out_sets = nng.out_neighbors()
-    values = []
-    for s in range(spec.node_count):
-        row = []
-        for j in range(spec.file_count):
-            row.append(sum((spec.rtt[s][v] * spec.demands[v][j] for v in out_sets[s]),
-                           Fraction(0)))
-        values.append(tuple(row))
-    return TxLatencyMatrix(node_ids=spec.node_ids, values=tuple(values))
+    demands = spec.demands_scaled
+    columns = range(spec.file_count)
+    rows = []
+    for dist, receivers in zip(spec.rtt_scaled, nng.out_neighbors()):
+        terms = [(dist[v], demands[v]) for v in receivers if dist[v]]
+        rows.append(tuple(sum(t * row[j] for t, row in terms) for j in columns))
+    return TxLatencyMatrix(node_ids=spec.node_ids, scaled=tuple(rows), scale=spec.cost_scale)
 
 
 def color_cost_matrix(coloring: Coloring, tx: TxLatencyMatrix) -> ColorCostMatrix:
@@ -134,37 +147,40 @@ def color_cost_matrix(coloring: Coloring, tx: TxLatencyMatrix) -> ColorCostMatri
     Column sums are preserved: every sender lands in exactly one class.
     """
     k = len(coloring.classes)
-    width = len(tx.values[0]) if tx.values else 0
+    width = len(tx.scaled[0]) if tx.scaled else 0
     if k != width:
         raise InvalidInputError(
             f"coloring has {k} classes but the network has {width} files"
         )
-    values = []
+    rows = []
     for members in coloring.classes:
-        row = [Fraction(0)] * width
-        for s in members:
-            for j in range(width):
-                row[j] += tx.values[s][j]
-        values.append(tuple(row))
-    return ColorCostMatrix(classes=coloring.classes, values=tuple(values))
+        senders = [tx.scaled[s] for s in members]
+        rows.append(tuple(map(sum, zip(*senders))) if senders else (0,) * width)
+    return ColorCostMatrix(classes=coloring.classes, scaled=tuple(rows), scale=tx.scale)
 
 
 # ---------------------------------------------------------------------------
 # Solvers
 
 
-def _as_rows(cost) -> list[list[Fraction]]:
+def _as_rows(cost) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(integer rows, scale): the cost matrix is ``rows / scale`` exactly.
+
+    A plain nested matrix is rescaled by the lcm of its denominators.
+    """
     if isinstance(cost, ColorCostMatrix):
-        rows = [list(row) for row in cost.values]
+        rows, scale = cost.scaled, cost.scale
     else:
-        rows = [[to_fraction(x) for x in row] for row in cost]
+        exact = [[to_fraction(x) for x in row] for row in cost]
+        scale = common_denominator(exact)
+        rows = scale_matrix(exact, scale)
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise InvalidInputError("cost matrix must be square and non-empty")
-    return rows
+    return rows, scale
 
 
-def _kuhn_zero_matching(rows: list[list[Fraction]]) -> tuple[list[int], int]:
+def _kuhn_zero_matching(rows: list[list[int]]) -> tuple[list[int], int]:
     """Maximum matching on zero entries; returns (col -> row, size)."""
     k = len(rows)
     match_col = [-1] * k
@@ -185,7 +201,7 @@ def _kuhn_zero_matching(rows: list[list[Fraction]]) -> tuple[list[int], int]:
     return match_col, size
 
 
-def _line_cover(rows: list[list[Fraction]], match_col: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _line_cover(rows: list[list[int]], match_col: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimum cover of the zeros by rows and columns, via the standard
     alternating-reachability construction from a maximum matching."""
     k = len(rows)
@@ -212,7 +228,7 @@ def _line_cover(rows: list[list[Fraction]], match_col: list[int]) -> tuple[tuple
     return cover_rows, cover_cols
 
 
-def _lex_min_zero_assignment(rows: list[list[Fraction]]) -> tuple[int, ...]:
+def _lex_min_zero_assignment(rows) -> tuple[int, ...]:
     """Lexicographically smallest perfect matching on the zero entries.
 
     Every optimal bijection is tight against the final reduced matrix, so
@@ -273,19 +289,20 @@ def hungarian_min_assignment(
     Returns:
         (FileMap, trace) where trace is None unless requested.
     """
-    matrix = _as_rows(cost)
+    matrix, scale = _as_rows(cost)
     k = len(matrix)
     work = [list(row) for row in matrix]
     steps: list[TraceStep] = []
 
     def snapshot():
-        return tuple(tuple(row) for row in work)
+        return unscale_matrix(work, scale)
 
     for r in range(k):
         low = min(work[r])
         if low != 0:
             work[r] = [x - low for x in work[r]]
-    steps.append(TraceStep(kind="row_reduce", matrix=snapshot()))
+    if with_trace:
+        steps.append(TraceStep(kind="row_reduce", matrix=snapshot()))
 
     if column_reduce:
         for c in range(k):
@@ -293,16 +310,17 @@ def hungarian_min_assignment(
             if low != 0:
                 for r in range(k):
                     work[r][c] -= low
-        steps.append(TraceStep(kind="column_reduce", matrix=snapshot()))
+        if with_trace:
+            steps.append(TraceStep(kind="column_reduce", matrix=snapshot()))
 
     while True:
         match_col, size = _kuhn_zero_matching(work)
-        pairs = tuple(sorted((r, c) for c, r in enumerate(match_col) if r != -1))
-        steps.append(TraceStep(kind="matching", size=size, pairs=pairs))
+        if with_trace:
+            pairs = tuple(sorted((r, c) for c, r in enumerate(match_col) if r != -1))
+            steps.append(TraceStep(kind="matching", size=size, pairs=pairs))
         if size == k:
             break
         cover_rows, cover_cols = _line_cover(work, match_col)
-        steps.append(TraceStep(kind="cover", rows=cover_rows, cols=cover_cols))
         open_rows = [r for r in range(k) if r not in cover_rows]
         open_cols = [c for c in range(k) if c not in cover_cols]
         delta = min(work[r][c] for r in open_rows for c in open_cols)
@@ -311,84 +329,11 @@ def hungarian_min_assignment(
         for c in cover_cols:
             for r in range(k):
                 work[r][c] += delta
-        steps.append(TraceStep(kind="adjust", delta=delta, matrix=snapshot()))
+        if with_trace:
+            steps.append(TraceStep(kind="cover", rows=cover_rows, cols=cover_cols))
+            steps.append(TraceStep(kind="adjust", delta=Fraction(delta, scale), matrix=snapshot()))
 
     assignment = _lex_min_zero_assignment(work)
-    total = sum((matrix[r][assignment[r]] for r in range(k)), Fraction(0))
+    total = sum(matrix[r][assignment[r]] for r in range(k))
     trace = HungarianTrace(steps=tuple(steps)) if with_trace else None
-    return FileMap(assignment=assignment, cost=total), trace
-
-
-def shortest_path_min_assignment(cost) -> FileMap:
-    """O(k^3) shortest-augmenting-path solver with dual potentials.
-
-    Exact arithmetic throughout; returns the same canonical optimum as
-    the matrix method and exists to cross-check it.
-    """
-    matrix = _as_rows(cost)
-    k = len(matrix)
-    inf = float("inf")
-    zero = Fraction(0)
-    u = [zero] * (k + 1)
-    v = [zero] * (k + 1)
-    col_owner = [0] * (k + 1)  # 1-based row owning each column, 0 = free
-    way = [0] * (k + 1)
-    for i in range(1, k + 1):
-        col_owner[0] = i
-        j0 = 0
-        minv = [inf] * (k + 1)
-        used = [False] * (k + 1)
-        while True:
-            used[j0] = True
-            i0 = col_owner[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, k + 1):
-                if used[j]:
-                    continue
-                cur = matrix[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(k + 1):
-                if used[j]:
-                    u[col_owner[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if col_owner[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            col_owner[j0] = col_owner[j1]
-            j0 = j1
-    reduced = [
-        [matrix[r][c] - u[r + 1] - v[c + 1] for c in range(k)] for r in range(k)
-    ]
-    assignment = _lex_min_zero_assignment(reduced)
-    total = sum((matrix[r][assignment[r]] for r in range(k)), Fraction(0))
-    return FileMap(assignment=assignment, cost=total)
-
-
-def brute_force_assignment(cost) -> FileMap:
-    """Exhaustive minimum over all k! bijections; first optimum in
-    lexicographic order wins.  Refuses matrices past the size guard."""
-    matrix = _as_rows(cost)
-    k = len(matrix)
-    if k > BRUTE_FORCE_LIMIT:
-        raise BudgetExceededError(
-            f"brute force over {k}! bijections refused (limit {BRUTE_FORCE_LIMIT})"
-        )
-    best: tuple[int, ...] | None = None
-    best_cost: Fraction | None = None
-    for perm in permutations(range(k)):
-        total = sum((matrix[r][perm[r]] for r in range(k)), Fraction(0))
-        if best_cost is None or total < best_cost:
-            best_cost = total
-            best = perm
-    assert best is not None and best_cost is not None
-    return FileMap(assignment=best, cost=best_cost)
+    return FileMap(assignment=assignment, cost=Fraction(total, scale)), trace

@@ -52,35 +52,10 @@ class LatencyReport:
 
 
 def wc_lower_bounds(spec: NetworkSpec) -> tuple[Fraction, ...]:
-    """Per-node floor on worst-case fetch latency.
-
-    A node keeps at most its capacity locally; the remaining files must
-    be produced by other nodes, and a node at distance t can account for
-    at most its own capacity of them.  Walking outward by distance, the
-    floor is the distance at which the accumulated capacity first covers
-    everything.  Ties in distance count with multiplicity.  The bound
-    binds any placement and any code.
-    """
-    k = spec.file_count
-    n = spec.node_count
-    bounds = []
-    for v in range(n):
-        need = k - spec.capacities[v]
-        if need <= 0:
-            bounds.append(Fraction(0))
-            continue
-        dist = spec.rtt_scaled[v]
-        got = 0
-        bound = None
-        for u in sorted((u for u in range(n) if u != v), key=dist.__getitem__):
-            got += spec.capacities[u]
-            if got >= need:
-                bound = spec.rtt[v][u]
-                break
-        if bound is None:
-            raise InvalidSpecError("network cannot hold every file once")
-        bounds.append(bound)
-    return tuple(bounds)
+    """Per-node floor on worst-case fetch latency, cached on the spec
+    (see ``NetworkSpec.wc_bounds``).  The bound binds any placement
+    and any code."""
+    return spec.wc_bounds
 
 
 def _as_placement(spec: NetworkSpec, placement) -> Placement:
@@ -113,30 +88,34 @@ def eval_uncoded(spec: NetworkSpec, placement) -> LatencyReport:
     if missing:
         raise InvalidInputError(f"no node holds file {min(missing)}")
     holders = [plc.holders(j) for j in range(k)]
-    latencies = tuple(
-        tuple(row[min(holders[j], key=dist.__getitem__)] for j in range(k))
-        for row, dist in zip(spec.rtt, spec.rtt_scaled)
-    )
-    return _finish_report(spec, latencies)
+    servers = [
+        [min(holders[j], key=dist.__getitem__) for j in range(k)] for dist in spec.rtt_scaled
+    ]
+    return _finish_report(spec, servers)
 
 
-def _finish_report(spec: NetworkSpec, latencies) -> LatencyReport:
-    worst = tuple(max(row) for row in latencies)
-    avg = sum(
-        (
-            spec.demands[v][j] * latencies[v][j]
-            for v in range(spec.node_count)
-            for j in range(spec.file_count)
-        ),
-        Fraction(0),
-    )
+def _finish_report(spec: NetworkSpec, servers) -> LatencyReport:
+    """Report the fetches where ``servers[v][j]`` is the node whose
+    distance sets node v's latency for file j.
+
+    The average is one integer sum over ``spec.cost_scale``.
+    """
+    total = 0
+    latencies = []
+    worst = []
+    for u_of, row, dist, weights in zip(
+        servers, spec.rtt, spec.rtt_scaled, spec.demands_scaled
+    ):
+        total += sum(dist[u] * p for u, p in zip(u_of, weights))
+        latencies.append(tuple(row[u] for u in u_of))
+        worst.append(row[max(u_of, key=dist.__getitem__)])
     return LatencyReport(
         node_ids=spec.node_ids,
         file_count=spec.file_count,
-        latencies=latencies,
-        worst_case=worst,
-        wc_bounds=wc_lower_bounds(spec),
-        average=avg,
+        latencies=tuple(latencies),
+        worst_case=tuple(worst),
+        wc_bounds=spec.wc_bounds,
+        average=Fraction(total, spec.cost_scale),
     )
 
 
@@ -243,7 +222,7 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
     f, matrix = _code_matrix(spec, code)
     n = spec.node_count
     k = spec.file_count
-    latencies: list[tuple[Fraction, ...]] = []
+    servers: list[list[int]] = []
     chosen: list[tuple[tuple[int, ...], ...]] = []
     for v in range(n):
         order = sorted(range(n), key=spec.rtt_scaled[v].__getitem__)
@@ -255,11 +234,11 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
             for s, c in zip(order, y):
                 x[s] = c
             farthest = max(i for i, c in enumerate(y) if c)
-            row.append(spec.rtt[v][order[farthest]])
+            row.append(order[farthest])
             picks.append(tuple(x))
-        latencies.append(tuple(row))
+        servers.append(row)
         chosen.append(tuple(picks))
-    report = _finish_report(spec, tuple(latencies))
+    report = _finish_report(spec, servers)
     plan = RecoveryPlan(node_ids=spec.node_ids, file_count=k, vectors=tuple(chosen))
     return report, plan
 

@@ -22,12 +22,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InvalidInputError, InvalidSpecError
-from .rational import frac_str, to_fraction
+from .rational import common_denominator, frac_str, scale_matrix, to_fraction
 
 #: Ingestion tolerance for the global demand mass check.
 DEMAND_SUM_TOLERANCE = Fraction(1, 10**9)
@@ -54,7 +53,7 @@ class NetworkSpec:
     @cached_property
     def rtt_scale(self) -> int:
         """Least common multiple of the RTT denominators."""
-        return lcm(*(t.denominator for row in self.rtt for t in row))
+        return common_denominator(self.rtt)
 
     @cached_property
     def rtt_scaled(self) -> tuple[tuple[int, ...], ...]:
@@ -65,10 +64,63 @@ class NetworkSpec:
         works on these integers and reports the ``Fraction`` of the same
         cell.  Computed once per spec object.
         """
-        scale = self.rtt_scale
-        return tuple(
-            tuple(t.numerator * (scale // t.denominator) for t in row) for row in self.rtt
-        )
+        return scale_matrix(self.rtt, self.rtt_scale)
+
+    @cached_property
+    def demand_scale(self) -> int:
+        """Least common multiple of the demand denominators."""
+        return common_denominator(self.demands)
+
+    @cached_property
+    def demands_scaled(self) -> tuple[tuple[int, ...], ...]:
+        """The demand matrix as exact integers: every entry times
+        ``demand_scale``.  Computed once per spec object."""
+        return scale_matrix(self.demands, self.demand_scale)
+
+    @property
+    def cost_scale(self) -> int:
+        """``rtt_scale * demand_scale``.
+
+        ``rtt_scaled[u][v] * demands_scaled[v][j]`` is exactly RTT times
+        demand times this scale, so every demand-weighted latency sum is
+        an integer over it: costs and averages are summed and compared
+        on those integers, and ``Fraction(total, cost_scale)`` is the
+        exact value a report shows.
+        """
+        return self.rtt_scale * self.demand_scale
+
+    @cached_property
+    def wc_bounds(self) -> tuple[Fraction, ...]:
+        """Per-node floor on worst-case fetch latency.
+
+        A node keeps at most its capacity locally; the remaining files
+        must be produced by other nodes, and a node at distance t can
+        account for at most its own capacity of them.  Walking outward
+        by distance, the floor is the distance at which the accumulated
+        capacity first covers everything.  Ties in distance count with
+        multiplicity.  The bound binds any placement and any code.
+        Computed once per spec object.
+        """
+        k = self.file_count
+        n = self.node_count
+        bounds = []
+        for v in range(n):
+            need = k - self.capacities[v]
+            if need <= 0:
+                bounds.append(Fraction(0))
+                continue
+            dist = self.rtt_scaled[v]
+            got = 0
+            bound = None
+            for u in sorted((u for u in range(n) if u != v), key=dist.__getitem__):
+                got += self.capacities[u]
+                if got >= need:
+                    bound = self.rtt[v][u]
+                    break
+            if bound is None:
+                raise InvalidSpecError("network cannot hold every file once")
+            bounds.append(bound)
+        return tuple(bounds)
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -245,10 +297,11 @@ def validate_spec(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
     if not demand_shape_ok:
         err("demand-shape", f"demand matrix must be {n}x{k}")
     else:
+        demands = spec.demands_scaled
         negative = False
         for v in range(n):
             for j in range(k):
-                if spec.demands[v][j] < 0:
+                if demands[v][j] < 0:
                     err(
                         "demand-negative",
                         f"negative demand at node {spec.node_ids[v]}, file {j + 1}",
@@ -256,7 +309,7 @@ def validate_spec(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
                     )
                     negative = True
         if not negative:
-            total = sum(p for row in spec.demands for p in row)
+            total = Fraction(sum(map(sum, demands)), spec.demand_scale)
             if abs(total - 1) > DEMAND_SUM_TOLERANCE:
                 err(
                     "demand-sum",
@@ -349,9 +402,18 @@ def expand_multifile(spec: NetworkSpec) -> ExpandedSpec:
     Sub-nodes of the same parent are at round-trip time zero from each
     other, keep cross-node times, and each carries 1/M of the parent's
     demand row.  Capacity-1 nodes keep their id; sub-node ids are
-    formed as ``"<id>#<slot>"``.
+    formed as ``"<id>#<slot>"``.  A unit-capacity network is its own
+    expansion (``network is spec``), so its cached integer scales are
+    computed once; that assumes the zero diagonal every caller has
+    already validated.
     """
     n = spec.node_count
+    if spec.is_unit_capacity:
+        return ExpandedSpec(
+            network=spec,
+            provenance=tuple((v, 1) for v in range(n)),
+            groups=tuple((v,) for v in range(n)),
+        )
     existing = set(spec.node_ids)
     sub_ids: list[str] = []
     provenance: list[tuple[int, int]] = []
@@ -414,7 +476,7 @@ def spec_from_dict(data: dict) -> NetworkSpec:
         for entry in nodes:
             node_ids.append(str(entry["id"]))
             capacities.append(entry.get("capacity", 1))
-            demands.append([to_fraction(x) for x in entry.get("demands", [])])
+            demands.append(entry.get("demands", []))
         return make_spec(node_ids, data["rtt"], demands, file_count, capacities)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed network file: {exc}") from exc

@@ -3,9 +3,9 @@
 The oracle enumerates raw placement functions (file index per storage
 slot) and scores each by the nearest-holder rule alone; it never
 touches the planner's graph/coloring/assignment machinery, so
-agreement between the two is meaningful evidence.  Scoring runs on a
-common-denominator integer scale for speed, and every reported witness
-is re-scored with the exact rational evaluator before it leaves.
+agreement between the two is meaningful evidence.  Scoring runs on the
+network's cached integer scale (``NetworkSpec.cost_scale``), and every
+reported witness is re-scored by ``eval_uncoded`` before it leaves.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .errors import AuditError, BudgetExceededError, InvalidInputError
 from .evaluation import eval_uncoded
@@ -48,13 +47,6 @@ class OracleResult:
             "graphs_truncated": self.graphs_truncated,
             "witnesses_capped": self.witnesses_capped,
         }
-
-
-def _integer_scale(spec: NetworkSpec):
-    """Scale RTTs and demands to integers; score = int_score / (R * P)."""
-    p_div = lcm(*(x.denominator for row in spec.demands for x in row), 1)
-    dem_i = [[int(x * p_div) for x in row] for row in spec.demands]
-    return spec.rtt_scaled, dem_i, spec.rtt_scale * p_div
 
 
 def brute_force_placement(
@@ -94,7 +86,8 @@ def brute_force_placement(
         for nng in enumeration.graphs:
             closed_sets.append(tuple(nng.closed_in(v) for v in range(n)))
 
-    rtt_i, dem_i, denom = _integer_scale(work)
+    # score = integer total over cost_scale
+    rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
     # per node: all nodes by distance, nearest first, index as tie-break
     order = [
         sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)
@@ -163,7 +156,7 @@ def brute_force_placement(
             witnesses_capped=False,
         )
 
-    best_value = Fraction(best, denom)
+    best_value = Fraction(best, work.cost_scale)
     witnesses: list[Placement] = []
     seen = set()
     for files in raw_witnesses:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .assignment import (
+    ColorCostMatrix,
     FileMap,
     HungarianTrace,
     color_cost_matrix,
@@ -167,43 +168,43 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
     solved = 0
     pruned = 0
 
-    best_value: Fraction | None = None
+    # costs are compared as integers over work.cost_scale, shared by
+    # every cost matrix of this plan
+    best_value: int | None = None
     best_key: tuple | None = None
-    best: tuple[int, NearestNeighborGraph, Coloring, FileMap] | None = None
+    best: tuple[int, NearestNeighborGraph, Coloring, ColorCostMatrix, FileMap] | None = None
     certificate: tuple[int, ...] | None = None
 
     for g_idx, nng in enumerate(enumeration.graphs):
         h = build_extended_graph(nng)
-        tx = tx_latency_matrix(work, nng)
-        found_any = False
+        tx = None  # built on the graph's first coloring only
         graph_count = 0
         for coloring in iter_colorings(h, k):
             graph_count += 1
             if graph_count > options.coloring_limit:
                 truncated = True
                 break
-            found_any = True
             colorings_seen += 1
+            if tx is None:
+                tx = tx_latency_matrix(work, nng)
             cost = color_cost_matrix(coloring, tx)
-            width = range(k)
-            floor = sum(
-                (min(cost.values[t][j] for t in width) for j in width), Fraction(0)
-            )
+            floor = sum(map(min, zip(*cost.scaled)))
             if best_value is not None and floor > best_value:
                 pruned += 1
                 continue
             file_map, _ = hungarian_min_assignment(cost)
             solved += 1
+            value = sum(row[j] for row, j in zip(cost.scaled, file_map.assignment))
             key = (g_idx, coloring.key(), file_map.assignment)
             if (
                 best_value is None
-                or file_map.cost < best_value
-                or (file_map.cost == best_value and key < best_key)
+                or value < best_value
+                or (value == best_value and key < best_key)
             ):
-                best_value = file_map.cost
+                best_value = value
                 best_key = key
-                best = (g_idx, nng, coloring, file_map)
-        if not found_any and certificate is None:
+                best = (g_idx, nng, coloring, cost, file_map)
+        if tx is None and certificate is None:
             verdict = find_coloring(h, k)
             if isinstance(verdict, Infeasible) and verdict.certificate is not None:
                 certificate = verdict.certificate
@@ -234,10 +235,9 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
             stats=stats,
         )
 
-    g_idx, nng, coloring, file_map = best
+    g_idx, nng, coloring, cost, file_map = best
     trace = None
     if options.with_trace:
-        cost = color_cost_matrix(coloring, tx_latency_matrix(work, nng))
         _, trace = hungarian_min_assignment(cost, with_trace=True)
 
     expanded_placement = compose_placement(coloring, file_map, work.node_count)

@@ -1,14 +1,18 @@
 """Exact rational helpers used throughout the package.
 
-All round-trip times and demand probabilities are kept as `Fraction`
-internally so that optimizer results, oracle results and report values
-can be compared for exact equality.  Floats only appear at ingestion
-and are read through their shortest decimal representation.
+Round-trip times and demand probabilities are read as `Fraction`
+values, so optimizer results, oracle results and report values can be
+compared for exact equality.  The hot paths sum and compare them on
+integers over one cached common scale per network (see
+`NetworkSpec.cost_scale`) and build a `Fraction` only where a value is
+reported.  Floats only appear at ingestion and are read through their
+shortest decimal representation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def to_fraction(value) -> Fraction:
@@ -16,8 +20,22 @@ def to_fraction(value) -> Fraction:
 
     Strings may be decimal literals ("0.025") or ratios ("1/40").
     Floats are interpreted via their decimal repr, so 0.025 means
-    exactly 1/40 rather than the nearest binary double.
+    exactly 1/40 rather than the nearest binary double.  A zero
+    denominator is a ValueError, like any other malformed literal.
     """
+    if isinstance(value, str):
+        text = value.strip()
+        # plain digits and "p/q" skip Fraction's literal parser
+        num, slash, den = text.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            q = int(den or 1)
+            if q == 0:
+                raise ValueError(f"zero denominator in {value!r}")
+            return Fraction(int(num), q)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, bool):
         raise TypeError("booleans are not numeric values")
     if isinstance(value, Fraction):
@@ -26,9 +44,23 @@ def to_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def common_denominator(matrix) -> int:
+    """Least common multiple of a Fraction matrix's denominators."""
+    return lcm(*(x.denominator for row in matrix for x in row))
+
+
+def scale_matrix(matrix, scale: int) -> tuple[tuple[int, ...], ...]:
+    """Every entry of a Fraction matrix times ``scale``, a common
+    multiple of its denominators, as exact integers."""
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in matrix)
+
+
+def unscale_matrix(rows, scale: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The Fractions ``x / scale`` of an integer matrix."""
+    return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
 
 def frac_str(value: Fraction) -> str:

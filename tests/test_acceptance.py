@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import geoplan as gp
 from conftest import random_admissible_pair, random_spec
+from crosscheck import brute_force_assignment
 
 F = Fraction
 
@@ -101,7 +102,7 @@ def test_criterion_05_assignment_equals_factorial_search():
                 for _ in range(k)
             ]
             fast, _ = gp.hungarian_min_assignment(cost)
-            slow = gp.brute_force_assignment(cost)
+            slow = brute_force_assignment(cost)
             assert fast.cost == slow.cost
 
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import geoplan as gp
 from conftest import random_spec
+from crosscheck import brute_force_assignment, shortest_path_min_assignment
 
 F = Fraction
 
@@ -110,8 +112,8 @@ def test_tie_break_is_lexicographic():
     assert file_map.cost == F(33, 20)
     # (2, 0, 1) and (2, 1, 0) tie; the smaller wins
     assert file_map.assignment == (2, 0, 1)
-    assert gp.shortest_path_min_assignment(tied).assignment == (2, 0, 1)
-    assert gp.brute_force_assignment(tied).assignment == (2, 0, 1)
+    assert shortest_path_min_assignment(tied).assignment == (2, 0, 1)
+    assert brute_force_assignment(tied).assignment == (2, 0, 1)
 
 
 def test_identity_and_negative_entries():
@@ -132,7 +134,7 @@ def test_rejects_non_square():
 def test_brute_force_size_guard():
     big = [[0] * 10 for _ in range(10)]
     with pytest.raises(gp.BudgetExceededError):
-        gp.brute_force_assignment(big)
+        brute_force_assignment(big)
 
 
 def test_three_solvers_agree_on_random_matrices():
@@ -144,8 +146,8 @@ def test_three_solvers_agree_on_random_matrices():
                 for _ in range(k)
             ]
             hung, _ = gp.hungarian_min_assignment(cost)
-            jv = gp.shortest_path_min_assignment(cost)
-            ref = gp.brute_force_assignment(cost)
+            jv = shortest_path_min_assignment(cost)
+            ref = brute_force_assignment(cost)
             assert hung.cost == jv.cost == ref.cost
             assert hung.assignment == jv.assignment == ref.assignment
 
@@ -158,7 +160,7 @@ def test_solvers_agree_with_column_reduce_and_duplicates():
         cost = [[F(rng.choice((0, 1, 2))) for _ in range(k)] for _ in range(k)]
         plain, _ = gp.hungarian_min_assignment(cost)
         shortcut, _ = gp.hungarian_min_assignment(cost, column_reduce=True)
-        ref = gp.brute_force_assignment(cost)
+        ref = brute_force_assignment(cost)
         assert plain.cost == shortcut.cost == ref.cost
         assert plain.assignment == shortcut.assignment == ref.assignment
 
@@ -170,3 +172,30 @@ def test_planner_cost_equals_assignment_on_example(ex1, ex1_nng):
     file_map, _ = gp.hungarian_min_assignment(cost)
     assert file_map.assignment == (2, 1, 0)
     assert file_map.cost == F(13, 10)
+
+
+def test_integer_costs_match_factorial_search_on_mixed_denominators():
+    rng = random.Random(43)
+    for k in range(2, 8):
+        for _ in range(20):
+            exact = [
+                [F(rng.randint(0, 60), rng.choice((1, 3, 4, 7, 10))) for _ in range(k)]
+                for _ in range(k)
+            ]
+            # any common multiple of the denominators is a valid scale
+            scale = lcm(*(x.denominator for row in exact for x in row)) * rng.randint(1, 4)
+            cost = gp.ColorCostMatrix(
+                classes=tuple((t,) for t in range(k)),
+                scaled=tuple(tuple(int(x * scale) for x in row) for row in exact),
+                scale=scale,
+            )
+            assert cost.values == tuple(map(tuple, exact))
+            fast, trace = gp.hungarian_min_assignment(cost, with_trace=True)
+            ref = brute_force_assignment(cost)
+            assert type(fast.cost) is F
+            assert (fast.cost, fast.assignment) == (ref.cost, ref.assignment)
+            # the plain nested form is rescaled on its own and agrees,
+            # trace included
+            plain, plain_trace = gp.hungarian_min_assignment(exact, with_trace=True)
+            assert plain == fast
+            assert plain_trace.to_dict() == trace.to_dict()

@@ -322,6 +322,32 @@ def test_malformed_network_fields_exit_1(tmp_path, capsys, broken):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["json-rtt", "json-demand", "rtt-csv", "demands-csv"])
+@pytest.mark.parametrize("command", ["validate", "plan"])
+def test_zero_denominator_exits_1(tmp_path, capsys, where, command):
+    data = json.loads(Path(EX1).read_text())
+    extra = []
+    if where == "json-rtt":
+        data["rtt"][0][1] = data["rtt"][1][0] = "1/0"
+    elif where == "json-demand":
+        data["nodes"][2]["demands"][0] = "1/0"
+    elif where == "rtt-csv":
+        csv_file = tmp_path / "rtt.csv"
+        csv_file.write_text("0,1/0,9,2\n2,0,7,2\n9,7,0,5\n2,2,5,0\n")
+        extra = ["--rtt-csv", str(csv_file)]
+    else:
+        csv_file = tmp_path / "demands.csv"
+        csv_file.write_text("1/12,1/12,1/12\n" * 3 + "1/12,1/0,1/12\n")
+        extra = ["--demands-csv", str(csv_file)]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, "--spec", str(path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_integral_decimal_counts_are_accepted(tmp_path, capsys):
     data = {
         "files": 2.0,

@@ -229,6 +229,54 @@ def test_expand_of_unit_spec_is_identity(ex1):
     expanded = gp.expand_multifile(ex1)
     assert expanded.is_identity
     assert expanded.network == ex1
+    # the spec itself, so its cached integer scales are reused
+    assert expanded.network is ex1
+    assert expanded.provenance == ((0, 1), (1, 1), (2, 1), (3, 1))
+    assert expanded.groups == ((0,), (1,), (2,), (3,))
+
+
+def reference_expansion(spec):
+    """Unit-slot network written out from the definition."""
+    ids, rtt, demands, owner = [], [], [], []
+    for v, cap in enumerate(spec.capacities):
+        for slot in range(1, cap + 1):
+            ids.append(spec.node_ids[v] if cap == 1 else f"{spec.node_ids[v]}#{slot}")
+            owner.append(v)
+            demands.append([p / cap for p in spec.demands[v]])
+    for a in owner:
+        rtt.append([0 if a == b else spec.rtt[a][b] for b in owner])
+    return gp.make_spec(ids, rtt, demands, spec.file_count)
+
+
+def test_multi_capacity_expansion_matches_definition():
+    rng = random.Random(67)
+    checked = 0
+    for _ in range(30):
+        spec = random_spec(rng, max_nodes=5, max_files=3, multi=True)
+        if spec.is_unit_capacity:
+            continue
+        work = gp.expand_multifile(spec).network
+        assert work is not spec
+        assert work == reference_expansion(spec)
+        checked += 1
+    assert checked >= 10
+
+
+def test_demand_and_cost_scales_are_cached_and_exact():
+    spec = gp.make_spec(
+        ("X", "Y"),
+        ((0, "1/3"), ("1/3", 0)),
+        (("1/4", "1/6"), ("1/12", "1/2")),
+        2,
+    )
+    assert spec.demand_scale == 12
+    assert spec.demands_scaled == ((3, 2), (1, 6))
+    assert spec.demands_scaled is spec.demands_scaled
+    assert spec.cost_scale == spec.rtt_scale * spec.demand_scale == 36
+    for row, scaled in zip(spec.demands, spec.demands_scaled):
+        assert tuple(Fraction(x, spec.demand_scale) for x in scaled) == row
+    # rtt x demand products are integers over cost_scale
+    assert spec.rtt_scaled[0][1] * spec.demands_scaled[1][0] == spec.rtt[0][1] * spec.demands[1][0] * 36
 
 
 def test_expand_example_with_double_capacity(ex1):

@@ -264,3 +264,39 @@ def test_audits_fire_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "geoplan.planner", "geoplan.oracle"]
+
+
+def test_transmit_costs_are_built_only_for_colorable_graphs(monkeypatch):
+    calls = []
+    real = gp.planner.tx_latency_matrix
+
+    def counted(spec, nng):
+        calls.append(nng)
+        return real(spec, nng)
+
+    monkeypatch.setattr(gp.planner, "tx_latency_matrix", counted)
+    assert isinstance(gp.plan(gp.infeasible_instance()), gp.InfeasiblePlan)
+    assert calls == []
+    gp.plan(gp.example_instance())
+    assert len(calls) == 1
+
+    # tied RTTs: several supply graphs, only some of them colorable
+    rng = random.Random(71)
+    seen_mixed = False
+    for _ in range(60):
+        n = rng.randint(4, 7)
+        rtt = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                rtt[u][v] = rtt[v][u] = rng.randint(1, 3)
+        spec = gp.make_spec([f"t{i}" for i in range(n)], rtt, [[F(1, 2 * n)] * 2] * n, 2)
+        graphs = gp.enumerate_nngs(spec).graphs
+        colorable = [
+            nng for nng in graphs
+            if not isinstance(gp.find_coloring(gp.build_extended_graph(nng), 2), gp.Infeasible)
+        ]
+        seen_mixed |= 0 < len(colorable) < len(graphs)
+        calls.clear()
+        gp.plan(spec, gp.PlanOptions(with_trace=True))
+        assert calls == colorable
+    assert seen_mixed

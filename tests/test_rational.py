@@ -52,3 +52,30 @@ def test_frac_decimal():
 def test_frac_decimal_half_to_even():
     assert frac_decimal(Fraction(1, 2_000_000)) == "0.000000"
     assert frac_decimal(Fraction(3, 2_000_000)) == "0.000002"
+
+
+# strings Fraction accepts, strings it rejects, and the edges of the
+# digits-only shortcut (signs, spaces, underscores, non-ASCII digits)
+PARSE_CORPUS = (
+    "3", "007", "1/40", "0.025", " 3 ", "+3", "-3/4", "3/-4", "3/ 4",
+    "1_000/3", "٣/٤", "3/", "/3", "1e3", "",
+)
+
+
+def test_string_parse_agrees_with_fraction():
+    for text in PARSE_CORPUS:
+        try:
+            expected = Fraction(text)
+        except ValueError:
+            with pytest.raises(ValueError):
+                to_fraction(text)
+            continue
+        got = to_fraction(text)
+        assert type(got) is Fraction
+        assert got == expected, text
+
+
+def test_zero_denominator_is_a_value_error():
+    for text in ("1/0", "0/0", " 7/000 ", "1_0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            to_fraction(text)
