@@ -10,7 +10,7 @@ Exit codes (stable):
   2  usage error
   3  network validation failed
   4  infeasible (no admissible placement exists / oracle found none)
-  5  oracle enumeration budget exceeded
+  5  oracle enumeration budget or plan's MAX_TABLE_ROWS exceeded
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def cmd_plan(args) -> int:
     spec = _load(args)
     options = PlanOptions(
         nng_cap=args.nng_cap,
-        coloring_limit=args.coloring_limit,
         strict=args.strict,
         with_trace=args.trace,
     )
@@ -242,8 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--nng-cap", type=int, default=64,
                    help="max supply graphs to enumerate under RTT ties")
-    p.add_argument("--coloring-limit", type=int, default=10_000,
-                   help="max colorings per supply graph")
     p.add_argument("--trace", action="store_true",
                    help="include the assignment solver's step trace")
     p.set_defaults(func=cmd_plan)

@@ -1,12 +1,15 @@
-"""Exact enumeration of proper k-colorings of the conflict graph.
+"""Proper k-colorings of the conflict graph.
 
-Colorings are treated as unlabeled partitions into exactly k non-empty
-independent classes; the assignment of concrete files to classes is a
-separate step.  Enumeration is a backtracking search with two symmetry
-breaks: a seed clique (found greedily, and in conflict graphs every
-closed in-neighborhood is one) is placed first so its members pin the
-k classes, and classes are only opened in first-use order so each
-partition appears exactly once.
+A coloring is an unlabeled partition into exactly k non-empty
+independent classes; which file each class stores is a separate step.
+``min_cost_coloring`` finds the cheapest labeled coloring exactly, by
+bucket elimination (Dechter, Artificial Intelligence 113, 1999) along a
+min-degree order: its work grows with the elimination width, not with
+the number of colorings.  ``iter_colorings`` enumerates every partition
+by backtracking, with two symmetry breaks: a seed clique (found
+greedily, and in conflict graphs every closed in-neighborhood is one)
+is placed first so its members pin the k classes, and classes are only
+opened in first-use order so each partition appears exactly once.
 """
 
 from __future__ import annotations
@@ -14,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .errors import BudgetExceededError
 from .nngraph import ExtendedGraph
+
+#: most rows one elimination step may hold; past it ``min_cost_coloring``
+#: raises ``BudgetExceededError`` instead of returning a worse coloring
+MAX_TABLE_ROWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -23,18 +31,13 @@ class Coloring:
 
     classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
-    def class_of(self) -> tuple[int, ...]:
-        """Per node index, the index of its class."""
-        n = sum(len(c) for c in self.classes)
-        out = [0] * n
-        for idx, members in enumerate(self.classes):
-            for v in members:
-                out[v] = idx
-        return tuple(out)
+    @classmethod
+    def from_files(cls, files: Sequence[int], k: int) -> Coloring:
+        """The partition a labeled coloring (one file per node) induces."""
+        classes: list[list[int]] = [[] for _ in range(k)]
+        for s, j in enumerate(files):
+            classes[j].append(s)
+        return cls(classes=tuple(sorted(tuple(c) for c in classes)))
 
     def key(self) -> tuple[tuple[int, ...], ...]:
         """Canonical comparison key."""
@@ -51,17 +54,6 @@ class Infeasible:
 
     certificate: tuple[int, ...] | None
     exhausted: bool = True
-
-
-def is_proper_partition(h: ExtendedGraph, classes: Sequence[Sequence[int]]) -> bool:
-    """Independent-set check for every class; used as a test verifier."""
-    masks = h.adjacency_masks()
-    for members in classes:
-        for v in members:
-            for w in members:
-                if w != v and (masks[v] >> w) & 1:
-                    return False
-    return True
 
 
 def _greedy_clique(h: ExtendedGraph, stop_above: int) -> tuple[int, ...]:
@@ -137,29 +129,95 @@ def iter_colorings(h: ExtendedGraph, k: int) -> Iterator[Coloring]:
     yield from walk(0, 0)
 
 
-@dataclass(frozen=True)
-class ColoringEnumeration:
-    colorings: tuple[Coloring, ...]
-    truncated: bool
-
-
-def enumerate_colorings(h: ExtendedGraph, k: int, limit: int = 10_000) -> ColoringEnumeration:
-    """Collect up to ``limit`` colorings; flags truncation if more exist."""
-    out: list[Coloring] = []
-    truncated = False
-    for coloring in iter_colorings(h, k):
-        if len(out) == limit:
-            truncated = True
-            break
-        out.append(coloring)
-    return ColoringEnumeration(colorings=tuple(out), truncated=truncated)
-
-
 def find_coloring(h: ExtendedGraph, k: int) -> Coloring | Infeasible:
     """First coloring in enumeration order, or an infeasibility witness."""
     for coloring in iter_colorings(h, k):
         return coloring
+    return Infeasible(certificate=conflict_clique(h, k), exhausted=True)
+
+
+def conflict_clique(h: ExtendedGraph, k: int) -> tuple[int, ...] | None:
+    """k+1 mutually conflicting nodes found greedily, which prove that no
+    proper k-coloring exists; None when the greedy search finds none."""
     clique = _greedy_clique(h, stop_above=k)
-    if len(clique) > k:
-        return Infeasible(certificate=clique[: k + 1], exhausted=True)
-    return Infeasible(certificate=None, exhausted=True)
+    return clique[: k + 1] if len(clique) > k else None
+
+
+def min_cost_coloring(
+    h: ExtendedGraph, costs: Sequence[Sequence[int]]
+) -> tuple[int, tuple[int, ...]] | None:
+    """Cheapest proper coloring with ``k = len(costs[0])`` colors.
+
+    Minimizes sum_s costs[s][files[s]] over labeled colorings ``files``
+    by bucket elimination along a min-degree order.  Eliminating node v
+    joins v's own costs and every table that mentions v over v's
+    current neighbors, keeping only the rows no conflict edge rules
+    out, then minimizes v away into a table over those neighbors.  A
+    step that keeps no row proves that no proper coloring exists.
+
+    Ties go to the lexicographically smallest ``files``: every cost is
+    scaled by k^n and node s adds files[s] * k^(n-1-s), so no two
+    colorings total the same and the optimum is unique.
+
+    Returns (minimum cost, files), or None when no proper coloring
+    exists.  Raises ``BudgetExceededError`` when one step would hold
+    more than ``MAX_TABLE_ROWS`` rows.
+    """
+    n = h.node_count
+    k = len(costs[0])
+    top = k**n
+    masks = h.adjacency_masks()
+    fill = list(masks)  # conflict edges plus the edges elimination fills in
+    alive = set(range(n))
+    # tables: (scope, {colors of scope: (cheapest cost, color of the node eliminated)})
+    tables: list[tuple[tuple[int, ...], dict]] = []
+    steps = []  # (node, scope, its table), in elimination order
+    total = 0
+    for _ in range(n):
+        v = min(alive, key=lambda u: (fill[u].bit_count(), u))
+        alive.discard(v)
+        scope = tuple(u for u in sorted(alive) if fill[v] >> u & 1)
+        here = (v, *scope)
+        mine = [([here.index(w) for w in t[0]], t[1]) for t in tables if v in t[0]]
+        tables = [t for t in tables if v not in t[0]]
+
+        weight = k ** (n - 1 - v)
+        rows = {(j,): c * top + j * weight for j, c in enumerate(costs[v])}
+        for pos, u in enumerate(here):
+            if pos:
+                near = [i for i in range(pos) if masks[u] >> here[i] & 1]
+                grown = {}
+                for key, c in rows.items():
+                    banned = {key[i] for i in near}
+                    for j in range(k):
+                        if j not in banned:
+                            grown[key + (j,)] = c
+                rows = grown
+            for idx, t_rows in mine:  # join each table once its last member is in
+                if max(idx) == pos:
+                    rows = {
+                        key: c + extra[0]
+                        for key, c in rows.items()
+                        if (extra := t_rows.get(tuple([key[i] for i in idx]))) is not None
+                    }
+            if len(rows) > MAX_TABLE_ROWS:
+                msg = f"coloring table past {MAX_TABLE_ROWS} rows at node {h.node_ids[v]}"
+                raise BudgetExceededError(msg)
+        if not rows:
+            return None
+
+        # in descending cost order the cheapest color of v is written last
+        ranked = sorted(rows.items(), key=lambda row: row[1], reverse=True)
+        best = {key[1:]: (c, key[0]) for key, c in ranked}
+        steps.append((v, scope, best))
+        if scope:
+            tables.append((scope, best))
+        else:
+            total += best[()][0]
+        for u in scope:
+            fill[u] = (fill[u] | fill[v]) & ~(1 << u | 1 << v)
+
+    files = [0] * n
+    for v, scope, best in reversed(steps):
+        files[v] = best[tuple([files[u] for u in scope])][1]
+    return total // top, tuple(files)

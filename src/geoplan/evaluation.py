@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
 from .model import NetworkSpec, Placement
-from .nngraph import NearestNeighborGraph, is_admissible
+from .nngraph import NearestNeighborGraph
 from .rational import frac_decimal, frac_str
 
 
@@ -119,27 +119,6 @@ def _finish_report(spec: NetworkSpec, servers) -> LatencyReport:
     )
 
 
-def receive_side_avg(spec: NetworkSpec, nng: NearestNeighborGraph, placement) -> Fraction:
-    """Average latency computed from the receive side of the supply graph.
-
-    Each node fetches every file from within its closed in-set, which
-    requires the placement to be admissible; the result then equals the
-    direct evaluation's average, since in-neighbors are exactly the
-    nearest nodes.
-    """
-    plc = _as_placement(spec, placement)
-    if not plc.is_unit:
-        raise InvalidInputError("receive-side form needs one file per node; expand first")
-    files = plc.as_single_files()
-    if not is_admissible(files, nng):
-        raise InvalidInputError("placement is not admissible for this graph")
-    total = Fraction(0)
-    for v in range(spec.node_count):
-        for s in nng.closed_in(v):
-            total += spec.rtt[s][v] * spec.demands[v][files[s]]
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Linear codes
 
@@ -226,7 +205,7 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
     chosen: list[tuple[tuple[int, ...], ...]] = []
     for v in range(n):
         order = sorted(range(n), key=spec.rtt_scaled[v].__getitem__)
-        particulars, _ = solution_space(f, [[g[s] for s in order] for g in matrix])
+        particulars = solution_space(f, [[g[s] for s in order] for g in matrix])
         row = []
         picks = []
         for y in particulars:

@@ -187,10 +187,8 @@ def matrix_rank(f, matrix) -> int:
 def solution_space(f, matrix):
     """For a full-row-rank k x n matrix G, solve G x = e_j for every j.
 
-    Returns ``(particulars, null_basis)`` where ``particulars[j]`` is one
-    solution of G x = e_j (free variables zero) and ``null_basis`` spans
-    the kernel of G, so every solution is a particular plus a kernel
-    combination.
+    Returns ``particulars`` where ``particulars[j]`` is the solution of
+    G x = e_j with every free variable zero.
     """
     rows = [[f.coerce(x) for x in row] for row in matrix]
     k = len(rows)
@@ -204,15 +202,7 @@ def solution_space(f, matrix):
         for i, col in enumerate(pivots):
             x[col] = transform[i][j]
         particulars.append(tuple(x))
-    free_cols = [c for c in range(n) if c not in pivots]
-    null_basis = []
-    for fc in free_cols:
-        y = [f.zero] * n
-        y[fc] = f.one
-        for i, col in enumerate(pivots):
-            y[col] = f.neg(rows[i][fc])
-        null_basis.append(tuple(y))
-    return particulars, null_basis
+    return particulars
 
 
 def cauchy_matrix(f, xs, ys):

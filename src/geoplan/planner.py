@@ -2,11 +2,13 @@
 
 Pipeline: validate, expand capacities to unit slots, build the
 nearest-neighbor supply graph (all of them when RTT ties allow
-several), enumerate proper colorings of the conflict graph, and solve a
-k x k assignment per coloring to map color classes to files.  The best
-(graph, coloring, bijection) triple wins; ties break canonically by
-graph index, then coloring key, then bijection, so runs are
-reproducible.
+several), and per supply graph either find a conflict clique of k+1
+nodes, which proves it infeasible, or solve the minimum-cost proper
+coloring of its conflict graph exactly by bucket elimination.  The
+cheapest graph wins, ties going to the lowest graph index and then to
+the lexicographically smallest file vector.  The winner's color
+classes are then mapped to files by the k x k assignment (the matrix
+method), which must reproduce the elimination's cost and files.
 
 Every returned plan is double-checked against the direct evaluator: the
 assignment-side average must equal the nearest-holder average, and each
@@ -15,21 +17,23 @@ node's worst case must sit on its floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .assignment import (
-    ColorCostMatrix,
     FileMap,
     HungarianTrace,
+    TxLatencyMatrix,
     color_cost_matrix,
     hungarian_min_assignment,
     tx_latency_matrix,
 )
-from .coloring import Coloring, Infeasible, find_coloring, iter_colorings
-from .errors import AuditError, InvalidSpecError
+from .coloring import Coloring, conflict_clique, min_cost_coloring
+# plan calls neither; bench/spans.py still times them under these names
+from .coloring import find_coloring, iter_colorings  # noqa: F401
+from .errors import AuditError
 from .evaluation import LatencyReport, eval_uncoded
-from .model import ExpandedSpec, NetworkSpec, Placement, expand_multifile, require_valid
+from .model import NetworkSpec, Placement, expand_multifile, require_valid
 from .nngraph import NearestNeighborGraph, build_extended_graph, enumerate_nngs
 from .rational import frac_decimal, frac_str
 
@@ -37,18 +41,31 @@ from .rational import frac_decimal, frac_str
 @dataclass(frozen=True)
 class PlanOptions:
     nng_cap: int = 64
-    coloring_limit: int = 10_000
+    coloring_limit: int = 10_000  # ignored: planning is exact; kept for existing callers
     strict: bool = False
     with_trace: bool = False
 
 
 @dataclass(frozen=True)
 class PlanStats:
+    """What one plan searched.
+
+    ``colorings`` counts the supply graphs with an optimal partition,
+    ``assignments_solved`` is 1 when a plan is found, and
+    ``assignments_pruned`` is ``colorings - assignments_solved``: the
+    colorable graphs that lost.  ``truncated`` means ``nng_cap`` cut
+    the supply graphs.
+    """
+
     graphs: int
     colorings: int
     assignments_solved: int
     assignments_pruned: int
     truncated: bool
+
+    def to_dict(self) -> dict:
+        names = ("graphs", "colorings", "assignments_solved", "assignments_pruned")
+        return {name: getattr(self, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -93,12 +110,7 @@ class PlanReport:
             ],
             "file_map": list(self.file_map.assignment),
             "latency": self.latency.to_dict(),
-            "stats": {
-                "graphs": self.stats.graphs,
-                "colorings": self.stats.colorings,
-                "assignments_solved": self.stats.assignments_solved,
-                "assignments_pruned": self.stats.assignments_pruned,
-            },
+            "stats": self.stats.to_dict(),
             "exhaustive": self.exhaustive,
         }
         if self.expanded_ids != self.latency.node_ids:
@@ -127,35 +139,18 @@ class InfeasiblePlan:
             "message": self.message,
             "certificate": list(self.certificate_ids) if self.certificate_ids else None,
             "exhaustive": self.exhaustive,
-            "stats": {
-                "graphs": self.stats.graphs,
-                "colorings": self.stats.colorings,
-                "assignments_solved": self.stats.assignments_solved,
-                "assignments_pruned": self.stats.assignments_pruned,
-            },
+            "stats": self.stats.to_dict(),
         }
-
-
-def compose_placement(coloring: Coloring, file_map: FileMap, node_count: int) -> Placement:
-    """Give every node the file its color class was assigned."""
-    files = [-1] * node_count
-    for theta, members in enumerate(coloring.classes):
-        j = file_map.assignment[theta]
-        for s in members:
-            files[s] = j
-    if any(j < 0 for j in files):
-        raise InvalidSpecError("coloring does not cover every node")
-    return Placement.from_files(files)
 
 
 def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport | InfeasiblePlan:
     """Find a minimum-average admissible placement, or prove there is none.
 
     Searches every supply graph (up to ``options.nng_cap`` when RTT ties
-    produce several) and every proper coloring with exactly k classes
-    (up to ``options.coloring_limit`` per graph).  Infeasibility is
-    reported with a clique certificate when one is found; the
-    ``exhaustive`` flag records whether any budget truncated the search.
+    produce several).  Infeasibility is reported with a clique
+    certificate when one is found; the ``exhaustive`` flag records
+    whether ``nng_cap`` cut the search.  Raises ``BudgetExceededError``
+    when a supply graph needs a coloring table past ``MAX_TABLE_ROWS``.
     """
     require_valid(spec, strict=options.strict)
     expanded = expand_multifile(spec)
@@ -164,56 +159,31 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
 
     enumeration = enumerate_nngs(work, cap=options.nng_cap)
     truncated = enumeration.truncated
-    colorings_seen = 0
-    solved = 0
-    pruned = 0
-
-    # costs are compared as integers over work.cost_scale, shared by
-    # every cost matrix of this plan
-    best_value: int | None = None
-    best_key: tuple | None = None
-    best: tuple[int, NearestNeighborGraph, Coloring, ColorCostMatrix, FileMap] | None = None
+    colorable = 0
+    best: tuple[int, int, NearestNeighborGraph, TxLatencyMatrix, tuple[int, ...]] | None = None
     certificate: tuple[int, ...] | None = None
 
     for g_idx, nng in enumerate(enumeration.graphs):
         h = build_extended_graph(nng)
-        tx = None  # built on the graph's first coloring only
-        graph_count = 0
-        for coloring in iter_colorings(h, k):
-            graph_count += 1
-            if graph_count > options.coloring_limit:
-                truncated = True
-                break
-            colorings_seen += 1
-            if tx is None:
-                tx = tx_latency_matrix(work, nng)
-            cost = color_cost_matrix(coloring, tx)
-            floor = sum(map(min, zip(*cost.scaled)))
-            if best_value is not None and floor > best_value:
-                pruned += 1
-                continue
-            file_map, _ = hungarian_min_assignment(cost)
-            solved += 1
-            value = sum(row[j] for row, j in zip(cost.scaled, file_map.assignment))
-            key = (g_idx, coloring.key(), file_map.assignment)
-            if (
-                best_value is None
-                or value < best_value
-                or (value == best_value and key < best_key)
-            ):
-                best_value = value
-                best_key = key
-                best = (g_idx, nng, coloring, cost, file_map)
-        if tx is None and certificate is None:
-            verdict = find_coloring(h, k)
-            if isinstance(verdict, Infeasible) and verdict.certificate is not None:
-                certificate = verdict.certificate
+        clique = conflict_clique(h, k)
+        if clique is not None:
+            certificate = certificate or clique
+            continue
+        tx = tx_latency_matrix(work, nng)
+        found = min_cost_coloring(h, tx.scaled)
+        if found is None:
+            continue
+        colorable += 1
+        # costs are integers over work.cost_scale; a tie keeps the lower graph index
+        if best is None or found[0] < best[0]:
+            best = (found[0], g_idx, nng, tx, found[1])
 
+    solved = int(best is not None)
     stats = PlanStats(
         graphs=len(enumeration.graphs),
-        colorings=colorings_seen,
+        colorings=colorable,
         assignments_solved=solved,
-        assignments_pruned=pruned,
+        assignments_pruned=colorable - solved,
         truncated=truncated,
     )
 
@@ -235,12 +205,21 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
             stats=stats,
         )
 
-    g_idx, nng, coloring, cost, file_map = best
-    trace = None
-    if options.with_trace:
-        _, trace = hungarian_min_assignment(cost, with_trace=True)
-
-    expanded_placement = compose_placement(coloring, file_map, work.node_count)
+    value, g_idx, nng, tx, files = best
+    # the matrix method maps the winning partition's classes to files; on
+    # a fixed partition its canonical bijection is the elimination's
+    # lexicographically smallest file vector
+    coloring = Coloring.from_files(files, k)
+    file_map, trace = hungarian_min_assignment(
+        color_cost_matrix(coloring, tx), with_trace=options.with_trace
+    )
+    by_class = tuple(files[members[0]] for members in coloring.classes)
+    if file_map.cost != Fraction(value, work.cost_scale) or file_map.assignment != by_class:
+        raise AuditError(
+            f"matrix method gives {file_map.cost} by {file_map.assignment}, "
+            f"elimination gives {Fraction(value, work.cost_scale)} by {by_class}"
+        )
+    expanded_placement = Placement.from_files(files)
 
     # audit: assignment-side optimum must match direct nearest-holder
     # evaluation exactly, and admissible plans must hit the per-node floor

@@ -1,18 +1,22 @@
-"""Reference assignment solvers that exist only to check the production one.
+"""Reference code that exists only to check the production code.
 
-Both work on exact ``Fraction`` entries, independent of the integer
-scale ``geoplan.hungarian_min_assignment`` runs on, and return the same
-canonical optimum: the lexicographically smallest optimal (class, file)
-mapping.
+The two assignment solvers work on exact ``Fraction`` entries,
+independent of the integer scale ``geoplan.hungarian_min_assignment``
+runs on, and return the same canonical optimum: the lexicographically
+smallest optimal (class, file) mapping.  The coloring helpers collect
+``geoplan.iter_colorings`` and check partitions; ``receive_side_avg``
+is the receive-side form of the average latency.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
 import geoplan as gp
 from geoplan.assignment import _lex_min_zero_assignment
+from geoplan.evaluation import _as_placement
 from geoplan.rational import to_fraction
 
 #: largest matrix brute_force_assignment will accept (k! blowup)
@@ -99,3 +103,63 @@ def brute_force_assignment(cost) -> gp.FileMap:
             best = perm
     assert best is not None and best_cost is not None
     return gp.FileMap(assignment=best, cost=best_cost)
+
+
+@dataclass(frozen=True)
+class ColoringEnumeration:
+    colorings: tuple[gp.Coloring, ...]
+    truncated: bool
+
+
+def enumerate_colorings(h: gp.ExtendedGraph, k: int, limit: int = 10_000) -> ColoringEnumeration:
+    """Collect up to ``limit`` colorings; flags truncation if more exist."""
+    out: list[gp.Coloring] = []
+    truncated = False
+    for coloring in gp.iter_colorings(h, k):
+        if len(out) == limit:
+            truncated = True
+            break
+        out.append(coloring)
+    return ColoringEnumeration(colorings=tuple(out), truncated=truncated)
+
+
+def is_proper_partition(h: gp.ExtendedGraph, classes) -> bool:
+    """Independent-set check for every class."""
+    masks = h.adjacency_masks()
+    for members in classes:
+        for v in members:
+            for w in members:
+                if w != v and (masks[v] >> w) & 1:
+                    return False
+    return True
+
+
+def class_of(coloring: gp.Coloring) -> tuple[int, ...]:
+    """Per node index, the index of its class."""
+    n = sum(len(c) for c in coloring.classes)
+    out = [0] * n
+    for idx, members in enumerate(coloring.classes):
+        for v in members:
+            out[v] = idx
+    return tuple(out)
+
+
+def receive_side_avg(spec: gp.NetworkSpec, nng: gp.NearestNeighborGraph, placement) -> Fraction:
+    """Average latency computed from the receive side of the supply graph.
+
+    Each node fetches every file from within its closed in-set, which
+    requires the placement to be admissible; the result then equals the
+    direct evaluation's average, since in-neighbors are exactly the
+    nearest nodes.
+    """
+    plc = _as_placement(spec, placement)
+    if not plc.is_unit:
+        raise gp.InvalidInputError("receive-side form needs one file per node; expand first")
+    files = plc.as_single_files()
+    if not gp.is_admissible(files, nng):
+        raise gp.InvalidInputError("placement is not admissible for this graph")
+    total = Fraction(0)
+    for v in range(spec.node_count):
+        for s in nng.closed_in(v):
+            total += spec.rtt[s][v] * spec.demands[v][files[s]]
+    return total

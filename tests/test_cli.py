@@ -387,6 +387,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "--spec", EX1, "--code", EX1, "--budget", "1"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", "--spec", EX1, "--coloring-limit", "5"])
+    assert exc.value.code == 2
 
 
 def test_console_script_smoke():

@@ -9,12 +9,12 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec
-from geoplan.coloring import is_proper_partition
+from crosscheck import class_of, enumerate_colorings, is_proper_partition
 
 
 def test_example_has_unique_coloring(ex1_nng):
     h = gp.build_extended_graph(ex1_nng)
-    enum = gp.enumerate_colorings(h, 3)
+    enum = enumerate_colorings(h, 3)
     assert not enum.truncated
     assert [c.classes for c in enum.colorings] == [((0, 2), (1,), (3,))]
 
@@ -24,7 +24,7 @@ def test_find_coloring_example(ex1_nng):
     found = gp.find_coloring(h, 3)
     assert isinstance(found, gp.Coloring)
     assert found.classes == ((0, 2), (1,), (3,))
-    assert found.class_of() == (0, 1, 0, 2)
+    assert class_of(found) == (0, 1, 0, 2)
     assert is_proper_partition(h, found.classes)
 
 
@@ -75,7 +75,7 @@ def test_enumeration_matches_brute_force():
         spec = random_spec(rng, max_nodes=6, max_files=3)
         h = gp.build_extended_graph(gp.build_nng(spec))
         k = spec.file_count
-        ours = {c.classes for c in gp.enumerate_colorings(h, k).colorings}
+        ours = {c.classes for c in enumerate_colorings(h, k).colorings}
         assert ours == _colorings_by_force(h, k)
 
 
@@ -84,7 +84,7 @@ def test_every_enumerated_coloring_is_proper():
     for _ in range(20):
         spec = random_spec(rng, max_nodes=7, max_files=4)
         h = gp.build_extended_graph(gp.build_nng(spec))
-        enum = gp.enumerate_colorings(h, spec.file_count)
+        enum = enumerate_colorings(h, spec.file_count)
         for coloring in enum.colorings:
             assert is_proper_partition(h, coloring.classes)
             assert len(coloring.classes) == spec.file_count
@@ -95,15 +95,15 @@ def test_every_enumerated_coloring_is_proper():
 def test_enumeration_limit_truncates():
     # edgeless graph on 6 nodes: S(6,3) = 90 partitions
     h = gp.ExtendedGraph(node_ids=tuple("abcdef"), edges=())
-    full = gp.enumerate_colorings(h, 3, limit=10_000)
+    full = enumerate_colorings(h, 3, limit=10_000)
     assert len(full.colorings) == 90 and not full.truncated
-    cut = gp.enumerate_colorings(h, 3, limit=10)
+    cut = enumerate_colorings(h, 3, limit=10)
     assert len(cut.colorings) == 10 and cut.truncated
 
 
 def test_no_duplicate_partitions():
     h = gp.ExtendedGraph(node_ids=tuple("abcde"), edges=((0, 1),))
-    colorings = gp.enumerate_colorings(h, 3).colorings
+    colorings = enumerate_colorings(h, 3).colorings
     keys = [c.key() for c in colorings]
     assert len(keys) == len(set(keys))
     # S(5,3) = 25 partitions, minus S(4,3) = 6 that join nodes 0 and 1
@@ -112,5 +112,26 @@ def test_no_duplicate_partitions():
 
 def test_k1_coloring():
     h = gp.ExtendedGraph(node_ids=("x", "y"), edges=())
-    enum = gp.enumerate_colorings(h, 1)
+    enum = enumerate_colorings(h, 1)
     assert [c.classes for c in enum.colorings] == [((0, 1),)]
+
+
+def test_min_cost_coloring_matches_labelings_by_force():
+    """Random graphs (not only conflict graphs) and tie-heavy costs: the
+    elimination's (cost, files) is the minimum over every proper
+    labeling, ties to the lexicographically smallest; None when no
+    proper labeling exists (a 5-cycle with two colors among them)."""
+    rng = random.Random(31)
+    cycle = gp.ExtendedGraph(node_ids=tuple("abcde"), edges=((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
+    assert gp.min_cost_coloring(cycle, [(0, 0)] * 5) is None
+    for _ in range(150):
+        n, k = rng.randint(1, 7), rng.randint(1, 3)
+        edges = tuple((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.35)
+        h = gp.ExtendedGraph(node_ids=tuple(f"x{i}" for i in range(n)), edges=edges)
+        costs = [tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(n)]
+        proper = [
+            (sum(costs[s][j] for s, j in enumerate(files)), files)
+            for files in product(range(k), repeat=n)
+            if all(files[a] != files[b] for a, b in edges)
+        ]
+        assert gp.min_cost_coloring(h, costs) == (min(proper) if proper else None)

@@ -106,15 +106,12 @@ def test_matrix_rank():
 def test_solution_space_solves_each_unit_vector():
     f = field(2)
     matrix = [[1, 0, 1], [0, 1, 1]]
-    particulars, null_basis = solution_space(f, matrix)
+    particulars = solution_space(f, matrix)
     assert len(particulars) == 2
-    assert len(null_basis) == 1
     for j, x in enumerate(particulars):
         col = _mat_mul(f, matrix, [[e] for e in x])
         expect = [[1] if i == j else [0] for i in range(2)]
         assert col == expect
-    for y in null_basis:
-        assert _mat_mul(f, matrix, [[e] for e in y]) == [[0], [0]]
 
 
 def test_solution_space_rank_deficient():

@@ -23,7 +23,7 @@ F = Fraction
 SPEC_COUNT = 40
 RTT_DENOMINATORS = (1, 3, 7, 10)
 
-GOLDEN_SHA256 = "89b21440ac2019f4c03a2edebb2d14badff15f44431f4379afb7f841e26da100"
+GOLDEN_SHA256 = "445942129c871eb5ba55d0438b18426894717cde29202c462d53f5f5cfd95f15"
 
 
 def golden_spec(rng: random.Random) -> gp.NetworkSpec:

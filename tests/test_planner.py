@@ -7,12 +7,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 
 import geoplan as gp
 from conftest import random_spec
+from crosscheck import brute_force_assignment
+from geoplan import cli
 
 F = Fraction
 
@@ -169,18 +172,24 @@ def test_graph_cap_marks_plan_non_exhaustive():
     assert full.stats.graphs == 81
 
 
-def test_coloring_limit_marks_plan_non_exhaustive():
+def test_paired_instance_is_planned_exactly():
     spec = paired_instance()
     full = gp.plan(spec)
     assert full.value == F(1, 2)
     assert full.exhaustive
-    assert full.stats == gp.PlanStats(1, 4, 4, 0, False)
+    assert full.stats == gp.PlanStats(1, 1, 1, 0, False)
     assert full.placement.files_by_node == ((0,), (1,), (0,), (1,), (0,), (1,))
-    capped = gp.plan(spec, gp.PlanOptions(coloring_limit=2))
-    assert capped.value == F(1, 2)
-    assert not capped.exhaustive
-    assert capped.stats.colorings == 2
-    assert capped.stats.truncated
+    # the option is accepted and no longer changes the search
+    assert gp.plan(spec, gp.PlanOptions(coloring_limit=2)) == full
+
+
+def test_table_budget_refuses_instead_of_truncating(monkeypatch, tmp_path):
+    monkeypatch.setattr(gp.coloring, "MAX_TABLE_ROWS", 1)
+    with pytest.raises(gp.BudgetExceededError, match="past 1 rows"):
+        gp.plan(paired_instance())
+    path = tmp_path / "paired.json"
+    gp.save_spec(paired_instance(), str(path))
+    assert cli.main(["plan", "--spec", str(path)]) == 5
 
 
 def test_plan_rejects_invalid_spec(ex1):
@@ -229,7 +238,8 @@ def test_plan_multi_random_projection_consistency():
 
 
 # Skews every direct evaluation the planner and the oracle audit against,
-# then records which audits still fire with asserts compiled out.
+# then the planner's matrix method, and records which audits still fire
+# with asserts compiled out.
 SKEWED_AUDITS = """
 import dataclasses, sys
 import geoplan as gp
@@ -249,6 +259,19 @@ for module, run in ((planner, gp.plan), (oracle, gp.brute_force_placement)):
     except gp.AuditError:
         fired.append(module.__name__)
     module.eval_uncoded = real
+
+hungarian = planner.hungarian_min_assignment
+
+def skewed_matrix_method(cost, **kwargs):
+    file_map, trace = hungarian(cost, **kwargs)
+    return dataclasses.replace(file_map, cost=file_map.cost + 1), trace
+
+planner.hungarian_min_assignment = skewed_matrix_method
+try:
+    gp.plan(gp.example_instance())
+except gp.AuditError as exc:
+    if "elimination" in str(exc):
+        fired.append("elimination")
 print(*fired)
 """
 
@@ -263,10 +286,10 @@ def test_audits_fire_under_python_O():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "geoplan.planner", "geoplan.oracle"]
+    assert proc.stdout.split() == ["1", "geoplan.planner", "geoplan.oracle", "elimination"]
 
 
-def test_transmit_costs_are_built_only_for_colorable_graphs(monkeypatch):
+def test_transmit_costs_are_built_only_for_uncertified_graphs(monkeypatch):
     calls = []
     real = gp.planner.tx_latency_matrix
 
@@ -280,7 +303,8 @@ def test_transmit_costs_are_built_only_for_colorable_graphs(monkeypatch):
     gp.plan(gp.example_instance())
     assert len(calls) == 1
 
-    # tied RTTs: several supply graphs, only some of them colorable
+    # tied RTTs: several supply graphs, only some of them free of a
+    # conflict triangle (a 5-cycle has none and still no 2-coloring)
     rng = random.Random(71)
     seen_mixed = False
     for _ in range(60):
@@ -291,12 +315,109 @@ def test_transmit_costs_are_built_only_for_colorable_graphs(monkeypatch):
                 rtt[u][v] = rtt[v][u] = rng.randint(1, 3)
         spec = gp.make_spec([f"t{i}" for i in range(n)], rtt, [[F(1, 2 * n)] * 2] * n, 2)
         graphs = gp.enumerate_nngs(spec).graphs
-        colorable = [
+        uncertified = [
             nng for nng in graphs
-            if not isinstance(gp.find_coloring(gp.build_extended_graph(nng), 2), gp.Infeasible)
+            if gp.conflict_clique(gp.build_extended_graph(nng), 2) is None
         ]
-        seen_mixed |= 0 < len(colorable) < len(graphs)
+        seen_mixed |= 0 < len(uncertified) < len(graphs)
         calls.clear()
         gp.plan(spec, gp.PlanOptions(with_trace=True))
-        assert calls == colorable
+        assert calls == uncertified
     assert seen_mixed
+
+
+def tied_or_distinct_spec(rng, n, k):
+    """Unit network: RTTs all distinct, or drawn from 1..4 so that ties
+    give several supply graphs."""
+    tied = rng.random() < 0.5
+    pairs = n * (n - 1) // 2
+    dists = [rng.randint(1, 4) for _ in range(pairs)] if tied else rng.sample(range(1, 1000), pairs)
+    rtt = [[0] * n for _ in range(n)]
+    it = iter(dists)
+    for u in range(n):
+        for v in range(u + 1, n):
+            rtt[u][v] = rtt[v][u] = next(it)
+    weights = [[rng.randint(0, 5) for _ in range(k)] for _ in range(n)]
+    weights[0][0] += 1
+    total = sum(map(sum, weights))
+    demands = [[F(w, total) for w in row] for row in weights]
+    return gp.make_spec([f"x{i}" for i in range(n)], rtt, demands, k)
+
+
+def enumerated_optimum(spec, nng_cap=64):
+    """(value, graph index, files) minimizing over every supply graph,
+    every partition from ``iter_colorings`` and every class-to-file
+    bijection, on Fractions; ties take the lowest graph index, then the
+    lexicographically smallest file vector.  None when nothing colors."""
+    k = spec.file_count
+    best = None
+    for g_idx, nng in enumerate(gp.enumerate_nngs(spec, cap=nng_cap).graphs):
+        tx = gp.tx_latency_matrix(spec, nng).values
+        for coloring in gp.iter_colorings(gp.build_extended_graph(nng), k):
+            for perm in permutations(range(k)):
+                files = [0] * spec.node_count
+                for idx, members in enumerate(coloring.classes):
+                    for s in members:
+                        files[s] = perm[idx]
+                value = sum(tx[s][j] for s, j in enumerate(files))
+                key = (value, g_idx, tuple(files))
+                if best is None or key < best:
+                    best = key
+    return best
+
+
+def test_elimination_equals_enumerated_colorings():
+    rng = random.Random(131)
+    outcomes = {"ok": 0, "infeasible": 0}
+    for _ in range(150):
+        k = rng.choice((2, 3, 4))
+        spec = tied_or_distinct_spec(rng, rng.randint(k, 10 if k == 2 else 8), k)
+        report = gp.plan(spec)
+        expected = enumerated_optimum(spec)
+        # only the supply-graph cap (64) cuts the search
+        assert report.exhaustive is not gp.enumerate_nngs(spec).truncated
+        if expected is None:
+            assert isinstance(report, gp.InfeasiblePlan)
+            outcomes["infeasible"] += 1
+            continue
+        value, g_idx, files = expected
+        assert (report.value, report.graph_index) == (value, g_idx)
+        assert report.expanded_placement.as_single_files() == files
+        # the matrix method on the winning partition agrees with factorial search
+        cost = gp.color_cost_matrix(report.coloring, gp.tx_latency_matrix(spec, report.graph))
+        assert brute_force_assignment(cost) == report.file_map
+        outcomes["ok"] += 1
+    assert min(outcomes.values()) >= 10
+
+
+def test_many_components_are_planned_exhaustively():
+    """Eight far-apart clusters, k = 2: 128 partitions, past the 32 a
+    coloring budget used to stop at.  The plan is exhaustive and no
+    worse than the best of the first 32 colorings."""
+    rng = random.Random(137)
+    sizes = [2, 3, 2, 3, 2, 2, 3, 2]
+    cluster = [c for c, size in enumerate(sizes) for _ in range(size)]
+    n = len(cluster)
+    near = iter(rng.sample(range(1, 500), n * n))
+    far = iter(rng.sample(range(1000, 9000), n * n))
+    rtt = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            rtt[u][v] = rtt[v][u] = next(near if cluster[u] == cluster[v] else far)
+    weights = [[rng.randint(1, 20) for _ in range(2)] for _ in range(n)]
+    total = sum(map(sum, weights))
+    spec = gp.make_spec(
+        [f"c{i}" for i in range(n)], rtt, [[F(w, total) for w in row] for row in weights], 2
+    )
+    nng = gp.build_nng(spec)
+    colorings = list(gp.iter_colorings(gp.build_extended_graph(nng), 2))
+    assert len(colorings) == 2 ** (len(sizes) - 1)
+
+    tx = gp.tx_latency_matrix(spec, nng)
+
+    def best_of(some):
+        return min(brute_force_assignment(gp.color_cost_matrix(c, tx)).cost for c in some)
+
+    report = gp.plan(spec, gp.PlanOptions(coloring_limit=32))
+    assert report.exhaustive
+    assert report.value == best_of(colorings) <= best_of(colorings[:32])
