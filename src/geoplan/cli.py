@@ -86,12 +86,7 @@ def cmd_validate(args) -> int:
 
 def cmd_plan(args) -> int:
     spec = _load(args)
-    options = PlanOptions(
-        nng_cap=args.nng_cap,
-        strict=args.strict,
-        with_trace=args.trace,
-    )
-    result = plan(spec, options)
+    result = plan(spec, PlanOptions(strict=args.strict, with_trace=args.trace))
     if isinstance(result, InfeasiblePlan):
         print(f"infeasible: {result.message}")
         _emit(result.to_dict(), args.out)
@@ -160,12 +155,7 @@ def cmd_eval(args) -> int:
 def cmd_oracle(args) -> int:
     spec = _load(args)
     mode = "admissible_only" if args.mode == "admissible" else "unrestricted"
-    result = brute_force_placement(
-        spec,
-        mode=mode,
-        budget=args.budget or DEFAULT_ORACLE_BUDGET,
-        nng_cap=args.nng_cap,
-    )
+    result = brute_force_placement(spec, mode=mode, budget=args.budget or DEFAULT_ORACLE_BUDGET)
     payload = result.to_dict()
     if result.best_value is None:
         print("no feasible placement in this mode")
@@ -239,8 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="find a minimum-average admissible placement")
     common(p)
-    p.add_argument("--nng-cap", type=int, default=64,
-                   help="max supply graphs to enumerate under RTT ties")
     p.add_argument("--trace", action="store_true",
                    help="include the assignment solver's step trace")
     p.set_defaults(func=cmd_plan)
@@ -257,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="admissible", help="placement universe to search")
     p.add_argument("--budget", type=int, default=None,
                    help="max placements to enumerate")
-    p.add_argument("--nng-cap", type=int, default=64)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("export", help="write supply and conflict graphs as DOT")

@@ -39,10 +39,6 @@ class Coloring:
             classes[j].append(s)
         return cls(classes=tuple(sorted(tuple(c) for c in classes)))
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical comparison key."""
-        return self.classes
-
 
 @dataclass(frozen=True)
 class Infeasible:
@@ -144,16 +140,21 @@ def conflict_clique(h: ExtendedGraph, k: int) -> tuple[int, ...] | None:
 
 
 def min_cost_coloring(
-    h: ExtendedGraph, costs: Sequence[Sequence[int]]
+    h: ExtendedGraph,
+    costs: Sequence[Sequence[int]],
+    covers: Sequence[Sequence[int]] = (),
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Cheapest proper coloring with ``k = len(costs[0])`` colors.
+    """Cheapest proper coloring with ``k = len(costs[0])`` colors in
+    which every node set in ``covers`` holds all k colors.
 
     Minimizes sum_s costs[s][files[s]] over labeled colorings ``files``
-    by bucket elimination along a min-degree order.  Eliminating node v
-    joins v's own costs and every table that mentions v over v's
-    current neighbors, keeping only the rows no conflict edge rules
+    by bucket elimination along a min-degree order.  Each cover enters
+    the fill as a clique, so when its first member is eliminated every
+    member is in that step's table.  Eliminating node v joins v's own
+    costs and every table that mentions v over v's current neighbors,
+    keeping only the rows no conflict edge and no complete cover rules
     out, then minimizes v away into a table over those neighbors.  A
-    step that keeps no row proves that no proper coloring exists.
+    step that keeps no row proves that no such coloring exists.
 
     Ties go to the lexicographically smallest ``files``: every cost is
     scaled by k^n and node s adds files[s] * k^(n-1-s), so no two
@@ -167,7 +168,11 @@ def min_cost_coloring(
     k = len(costs[0])
     top = k**n
     masks = h.adjacency_masks()
-    fill = list(masks)  # conflict edges plus the edges elimination fills in
+    fill = list(masks)  # conflict edges, cover cliques and the edges elimination fills in
+    for cover in covers:
+        members = sum(1 << u for u in cover)
+        for u in cover:
+            fill[u] |= members & ~(1 << u)
     alive = set(range(n))
     # tables: (scope, {colors of scope: (cheapest cost, color of the node eliminated)})
     tables: list[tuple[tuple[int, ...], dict]] = []
@@ -180,6 +185,8 @@ def min_cost_coloring(
         here = (v, *scope)
         mine = [([here.index(w) for w in t[0]], t[1]) for t in tables if v in t[0]]
         tables = [t for t in tables if v not in t[0]]
+        checks = [[here.index(w) for w in c] for c in covers if v in c]
+        covers = [c for c in covers if v not in c]
 
         weight = k ** (n - 1 - v)
         rows = {(j,): c * top + j * weight for j, c in enumerate(costs[v])}
@@ -200,6 +207,9 @@ def min_cost_coloring(
                         for key, c in rows.items()
                         if (extra := t_rows.get(tuple([key[i] for i in idx]))) is not None
                     }
+            for idx in checks:  # test each cover once its last member is in
+                if max(idx) == pos:
+                    rows = {key: c for key, c in rows.items() if len({key[i] for i in idx}) == k}
             if len(rows) > MAX_TABLE_ROWS:
                 msg = f"coloring table past {MAX_TABLE_ROWS} rows at node {h.node_ids[v]}"
                 raise BudgetExceededError(msg)

@@ -122,12 +122,6 @@ class NetworkSpec:
             bounds.append(bound)
         return tuple(bounds)
 
-    def index_of(self, node_id: str) -> int:
-        try:
-            return self.node_ids.index(node_id)
-        except ValueError:
-            raise InvalidInputError(f"unknown node id {node_id!r}") from None
-
     def to_dict(self) -> dict:
         """Serializable form; exact values are rendered as strings."""
         return {
@@ -152,7 +146,17 @@ def make_spec(
     capacities: Sequence[int] | None = None,
 ) -> NetworkSpec:
     """Build a NetworkSpec, coercing matrix entries to Fraction and
-    counts to int (InvalidInputError for non-integral counts)."""
+    counts to int (InvalidInputError for non-integral counts).  Each
+    distinct string cell is parsed once."""
+    parsed: dict[str, Fraction] = {}
+
+    def cell(x) -> Fraction:
+        if not isinstance(x, str):
+            return to_fraction(x)
+        if x not in parsed:
+            parsed[x] = to_fraction(x)
+        return parsed[x]
+
     ids = tuple(str(i) for i in node_ids)
     caps = (
         tuple(_count(c, "capacity") for c in capacities)
@@ -162,8 +166,8 @@ def make_spec(
     return NetworkSpec(
         node_ids=ids,
         capacities=caps,
-        rtt=tuple(tuple(to_fraction(x) for x in row) for row in rtt),
-        demands=tuple(tuple(to_fraction(x) for x in row) for row in demands),
+        rtt=tuple(tuple(map(cell, row)) for row in rtt),
+        demands=tuple(tuple(map(cell, row)) for row in demands),
         file_count=_count(file_count, "file count"),
     )
 

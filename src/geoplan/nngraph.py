@@ -4,8 +4,11 @@ For a unit-capacity network with k files, each node should be able to
 fetch every file it does not hold locally from one of its k-1 closest
 peers.  The directed nearest-neighbor graph records, per node v, an
 in-edge from each of the k-1 nodes with the smallest round-trip time to
-v.  Ties in round-trip time make several such graphs valid; they can be
-enumerated exhaustively.
+v.  Ties in round-trip time make several such graphs valid.  They are
+the per-node choices ``supplier_tiers`` describes, so the planner
+works from those choices directly; ``enumerate_nngs`` lists the graphs
+themselves (for export), and ``first_supply_graph`` finds the first of
+them that admits a given placement.
 
 The undirected extension joins every node to its chosen in-neighbors
 and additionally joins those in-neighbors pairwise, which turns every
@@ -18,11 +21,12 @@ planner searches for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Sequence
+from itertools import combinations, islice, product
+from math import comb, prod
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import InvalidInputError, InvalidSpecError
-from .model import NetworkSpec, Placement
+from .model import NetworkSpec
 from .rational import frac_str
 
 
@@ -123,6 +127,39 @@ def build_nng(
     return NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=tuple(chosen))
 
 
+class SupplierTier(NamedTuple):
+    """Node v's candidate suppliers: ``threshold`` is the (k-1)-th
+    smallest RTT to v on the integer scale, ``forced`` the peers
+    strictly closer, ``tied`` the peers at exactly that distance, of
+    which every supply graph takes ``picks``."""
+
+    threshold: int
+    forced: tuple[int, ...]
+    tied: tuple[int, ...]
+    picks: int
+
+    @property
+    def shared(self) -> tuple[int, ...]:
+        """The suppliers every supply graph gives v."""
+        if self.picks == len(self.tied):
+            return tuple(sorted(self.forced + self.tied))
+        return self.forced
+
+
+def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
+    """Per node, the forced and tied suppliers every supply graph is built from."""
+    _check_buildable(spec)
+    need = spec.file_count - 1
+    tiers = []
+    for v, column in enumerate(zip(*spec.rtt_scaled)):
+        others = [s for s in range(spec.node_count) if s != v]
+        threshold = sorted(column[s] for s in others)[need - 1] if need else 0
+        forced = tuple(s for s in others if column[s] < threshold)
+        tied = tuple(s for s in others if column[s] == threshold) if need else ()
+        tiers.append(SupplierTier(threshold, forced, tied, need - len(forced)))
+    return tuple(tiers)
+
+
 @dataclass(frozen=True)
 class NngEnumeration:
     graphs: tuple[NearestNeighborGraph, ...]
@@ -136,39 +173,52 @@ def enumerate_nngs(spec: NetworkSpec, cap: int = 64) -> NngEnumeration:
     Per node, the suppliers strictly closer than the (k-1)-th distance
     are forced; the remaining slots are filled by every combination of
     the peers tied at that distance.  Graphs are emitted in a canonical
-    order (per-node choices lexicographic by index).  ``cap`` bounds the
-    number of returned graphs; ``total`` counts all valid ones.
+    order (per-node choices lexicographic by index, the last node
+    varying fastest).  ``cap`` bounds the number of returned graphs;
+    ``total`` counts all valid ones.
     """
-    _check_buildable(spec)
-    k = spec.file_count
-    need = k - 1
-    columns = tuple(zip(*spec.rtt_scaled))
-    per_node_choices: list[list[tuple[int, ...]]] = []
-    total = 1
-    for v in range(spec.node_count):
-        if need == 0:
-            per_node_choices.append([()])
-            continue
-        column = columns[v]
-        others = [s for s in range(spec.node_count) if s != v]
-        threshold = sorted(column[s] for s in others)[need - 1]
-        forced = [s for s in others if column[s] < threshold]
-        tier = [s for s in others if column[s] == threshold]
-        choices = [
-            tuple(sorted(forced + list(picked)))
-            for picked in combinations(tier, need - len(forced))
-        ]
-        total *= len(choices)
-        per_node_choices.append(choices)
+    cap = max(cap, 0)
+    per_node_choices = [
+        [tuple(sorted(t.forced + picked)) for picked in combinations(t.tied, t.picks)]
+        for t in supplier_tiers(spec)
+    ]
+    graphs = [
+        NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=combo)
+        for combo in islice(product(*per_node_choices), cap + 1)
+    ]
+    total = prod(map(len, per_node_choices))
+    return NngEnumeration(graphs=tuple(graphs[:cap]), truncated=len(graphs) > cap, total=total)
 
-    graphs: list[NearestNeighborGraph] = []
-    truncated = False
-    for combo in product(*per_node_choices):
-        if len(graphs) >= cap:
-            truncated = True
-            break
-        graphs.append(NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=combo))
-    return NngEnumeration(graphs=tuple(graphs), truncated=truncated, total=total)
+
+def first_supply_graph(
+    spec: NetworkSpec, tiers: Sequence[SupplierTier], files: Sequence[int]
+) -> tuple[int, NearestNeighborGraph]:
+    """The first graph in ``enumerate_nngs`` order that the single-file
+    placement ``files`` is admissible for, with its index there.
+
+    Each node takes the lowest tied holder of every file missing from
+    itself and its forced suppliers, which is its first valid choice;
+    the index is the mixed-radix position of those choices.  Raises
+    ``InvalidInputError`` when no supply graph admits ``files``.
+    """
+    index = 0
+    chosen = []
+    for v, t in enumerate(tiers):
+        held = {files[s] for s in (v, *t.forced)}
+        picked = []
+        for pos, s in enumerate(t.tied):
+            if files[s] not in held:
+                held.add(files[s])
+                picked.append(pos)
+        if len(held) != spec.file_count or len(picked) != t.picks:
+            raise InvalidInputError(f"no supply graph admits the placement at {spec.node_ids[v]}")
+        rank, prev = 0, -1  # lexicographic rank among combinations(t.tied, t.picks)
+        for i, pos in enumerate(picked):
+            rank += sum(comb(len(t.tied) - 1 - x, t.picks - 1 - i) for x in range(prev + 1, pos))
+            prev = pos
+        index = index * comb(len(t.tied), t.picks) + rank
+        chosen.append(tuple(sorted(t.forced + tuple(t.tied[p] for p in picked))))
+    return index, NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=tuple(chosen))
 
 
 def build_extended_graph(nng: NearestNeighborGraph) -> ExtendedGraph:
@@ -185,29 +235,6 @@ def build_extended_graph(nng: NearestNeighborGraph) -> ExtendedGraph:
         for a, b in combinations(sources, 2):
             add(a, b)
     return ExtendedGraph(node_ids=nng.node_ids, edges=tuple(sorted(edges)))
-
-
-def is_admissible(placement: Placement | Sequence[int], nng: NearestNeighborGraph) -> bool:
-    """Whether a single-file-per-node placement serves every node from
-    within its closed in-neighborhood.
-
-    True exactly when the files stored across each closed in-neighborhood
-    are pairwise distinct, which makes them all k files.
-    """
-    if isinstance(placement, Placement):
-        files = placement.as_single_files()
-    else:
-        files = tuple(int(f) for f in placement)
-    if len(files) != nng.node_count:
-        raise InvalidInputError("placement length does not match the graph")
-    k = nng.file_count
-    for v in range(nng.node_count):
-        seen = 0
-        for s in nng.closed_in(v):
-            seen |= 1 << files[s]
-        if seen.bit_count() != k:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,27 @@
 The oracle enumerates raw placement functions (file index per storage
 slot) and scores each by the nearest-holder rule alone; it never
 touches the planner's graph/coloring/assignment machinery, so
-agreement between the two is meaningful evidence.  Scoring runs on the
-network's cached integer scale (``NetworkSpec.cost_scale``), and every
-reported witness is re-scored by ``eval_uncoded`` before it leaves.
+agreement between the two is meaningful evidence.  Admissibility is
+tested per node, from the definition: some choice of the node's k-1
+nearest peers (any of the peers tied at the (k-1)-th distance may
+serve) must hold, together with the node, all k files.  Scoring runs
+on the network's cached integer scale (``NetworkSpec.cost_scale``),
+and every reported witness is re-scored by ``eval_uncoded`` before it
+leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import product
+from operator import itemgetter, or_
 
 from .errors import AuditError, BudgetExceededError, InvalidInputError
 from .evaluation import eval_uncoded
 from .model import NetworkSpec, Placement, expand_multifile, require_valid
-from .nngraph import enumerate_nngs
+from .nngraph import enumerate_nngs  # noqa: F401  unused; bench/spans.py times it here
 from .rational import frac_str
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
@@ -33,7 +39,6 @@ class OracleResult:
     search_space: int
     scored: int
     mode: str
-    graphs_truncated: bool
     witnesses_capped: bool
 
     def to_dict(self) -> dict:
@@ -44,7 +49,6 @@ class OracleResult:
             "witnesses": len(self.witnesses),
             "search_space": self.search_space,
             "scored": self.scored,
-            "graphs_truncated": self.graphs_truncated,
             "witnesses_capped": self.witnesses_capped,
         }
 
@@ -54,13 +58,15 @@ def brute_force_placement(
     mode: str = "admissible_only",
     budget: int = DEFAULT_ORACLE_BUDGET,
     witness_cap: int = DEFAULT_WITNESS_CAP,
-    nng_cap: int = 64,
 ) -> OracleResult:
     """Exhaustive minimum over placements by direct scoring.
 
     ``unrestricted`` scores every function from storage slots onto files
     that stores each file somewhere; ``admissible_only`` keeps only
-    placements proper for at least one valid supply graph.  Capacities
+    placements admissible for at least one valid supply graph: for
+    every node v, v and its peers strictly nearer than its (k-1)-th
+    nearest distance hold distinct files, and adding the peers at
+    exactly that distance brings in every file.  Capacities
     are expanded to unit slots first and witnesses projected back.
 
     Raises when the k ** slot_count space exceeds ``budget``.
@@ -78,42 +84,43 @@ def brute_force_placement(
             f"{k}^{n} = {space} placements exceed the oracle budget of {budget}"
         )
 
-    graphs_truncated = False
-    closed_sets: list[tuple[tuple[int, ...], ...]] = []
-    if mode == "admissible_only":
-        enumeration = enumerate_nngs(work, cap=nng_cap)
-        graphs_truncated = enumeration.truncated
-        for nng in enumeration.graphs:
-            closed_sets.append(tuple(nng.closed_in(v) for v in range(n)))
-
     # score = integer total over cost_scale
     rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
+    # admissibility as checks on a placement's bits (file j is 1 << j):
+    # (picker, combine, distinct files the picked nodes must hold); a sum
+    # of bits keeps one bit per node only when no file repeats
+    union = partial(reduce, or_)
+    checks = []
+    if mode == "admissible_only" and k > 1:
+        for v in range(n):
+            far = sorted(rtt_i[v][u] for u in range(n) if u != v)[k - 2]
+            near = [u for u in range(n) if u == v or rtt_i[v][u] < far]
+            within = [u for u in range(n) if rtt_i[v][u] <= far]
+            if len(within) == k:  # k nodes holding all k files hold distinct ones
+                checks.append((itemgetter(*within), sum, k))
+                continue
+            checks.append((itemgetter(*within), union, k))
+            if len(near) > 1:
+                checks.append((itemgetter(*near), sum, len(near)))
     # per node: all nodes by distance, nearest first, index as tie-break
     order = [
         sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)
     ]
-    full = (1 << k) - 1
 
     best: int | None = None
     raw_witnesses: list[tuple[int, ...]] = []
     capped = False
     scored = 0
 
-    for files in product(range(k), repeat=n):
-        if closed_sets:
-            admissible = False
-            for per_graph in closed_sets:
-                for members in per_graph:
-                    mask = 0
-                    for s in members:
-                        mask |= 1 << files[s]
-                    if mask.bit_count() != k:
-                        break
-                else:
-                    admissible = True
-                    break
-            if not admissible:
-                continue
+    onehot = [1 << j for j in range(k)]
+    for files, bits in zip(product(range(k), repeat=n), product(onehot, repeat=n)):
+        admissible = True
+        for pick, combine, count in checks:
+            if combine(pick(bits)).bit_count() != count:
+                admissible = False
+                break
+        if not admissible:
+            continue
         total = 0
         surjective = True
         for v in range(n):
@@ -152,7 +159,6 @@ def brute_force_placement(
             search_space=space,
             scored=scored,
             mode=mode,
-            graphs_truncated=graphs_truncated,
             witnesses_capped=False,
         )
 
@@ -174,7 +180,6 @@ def brute_force_placement(
         search_space=space,
         scored=scored,
         mode=mode,
-        graphs_truncated=graphs_truncated,
         witnesses_capped=capped,
     )
 
@@ -201,7 +206,6 @@ def verify_plan(
     spec: NetworkSpec,
     report,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    nng_cap: int = 64,
 ) -> Verdict:
     """Check a planner result against the independent oracle.
 
@@ -211,9 +215,7 @@ def verify_plan(
     an ``unverified`` verdict rather than an error.
     """
     try:
-        oracle = brute_force_placement(
-            spec, mode="admissible_only", budget=budget, nng_cap=nng_cap
-        )
+        oracle = brute_force_placement(spec, mode="admissible_only", budget=budget)
     except BudgetExceededError as exc:
         return Verdict(status="unverified", message=str(exc))
 

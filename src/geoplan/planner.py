@@ -1,14 +1,19 @@
 """End-to-end placement planner.
 
-Pipeline: validate, expand capacities to unit slots, build the
-nearest-neighbor supply graph (all of them when RTT ties allow
-several), and per supply graph either find a conflict clique of k+1
-nodes, which proves it infeasible, or solve the minimum-cost proper
-coloring of its conflict graph exactly by bucket elimination.  The
-cheapest graph wins, ties going to the lowest graph index and then to
+Pipeline: validate, expand capacities to unit slots, then search every
+supply graph at once.  For node v let thr_v be its (k-1)-th nearest
+distance, F_v its suppliers strictly closer and T_v its peers at
+exactly thr_v.  A placement is admissible for some supply graph exactly
+when, for every v, v and F_v hold pairwise distinct files (conflict
+cliques) and v, F_v and T_v together hold all k files (a cover, needed
+only when v has more tied peers than slots).  On such a placement v's
+latency is fixed by those sets, so the average is a sum of per-node
+costs.  A conflict clique of k+1 nodes proves infeasibility; otherwise
+one bucket elimination finds the minimum-cost coloring, ties going to
 the lexicographically smallest file vector.  The winner's color
 classes are then mapped to files by the k x k assignment (the matrix
-method), which must reproduce the elimination's cost and files.
+method) on the first supply graph the winner is admissible for, which
+must reproduce the elimination's cost and files.
 
 Every returned plan is double-checked against the direct evaluator: the
 assignment-side average must equal the nearest-holder average, and each
@@ -19,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from .assignment import (
     FileMap,
     HungarianTrace,
-    TxLatencyMatrix,
     color_cost_matrix,
     hungarian_min_assignment,
     tx_latency_matrix,
@@ -34,13 +39,19 @@ from .coloring import find_coloring, iter_colorings  # noqa: F401
 from .errors import AuditError
 from .evaluation import LatencyReport, eval_uncoded
 from .model import NetworkSpec, Placement, expand_multifile, require_valid
-from .nngraph import NearestNeighborGraph, build_extended_graph, enumerate_nngs
+from .nngraph import (
+    NearestNeighborGraph,
+    build_extended_graph,
+    enumerate_nngs,  # noqa: F401  plan does not call it; bench/spans.py times it here
+    first_supply_graph,
+    supplier_tiers,
+)
 from .rational import frac_decimal, frac_str
 
 
 @dataclass(frozen=True)
 class PlanOptions:
-    nng_cap: int = 64
+    nng_cap: int = 64  # ignored: every supply graph is searched; kept for existing callers
     coloring_limit: int = 10_000  # ignored: planning is exact; kept for existing callers
     strict: bool = False
     with_trace: bool = False
@@ -50,18 +61,15 @@ class PlanOptions:
 class PlanStats:
     """What one plan searched.
 
-    ``colorings`` counts the supply graphs with an optimal partition,
-    ``assignments_solved`` is 1 when a plan is found, and
-    ``assignments_pruned`` is ``colorings - assignments_solved``: the
-    colorable graphs that lost.  ``truncated`` means ``nng_cap`` cut
-    the supply graphs.
+    ``graphs`` is the number of supply graphs, all of them covered by
+    the one search; ``colorings`` and ``assignments_solved`` are 1 when
+    a plan is found and 0 otherwise, and ``assignments_pruned`` is 0.
     """
 
     graphs: int
     colorings: int
     assignments_solved: int
     assignments_pruned: int
-    truncated: bool
 
     def to_dict(self) -> dict:
         names = ("graphs", "colorings", "assignments_solved", "assignments_pruned")
@@ -82,8 +90,8 @@ class PlanReport:
     expanded_placement: Placement
     expanded_ids: tuple[str, ...]
     stats: PlanStats
-    exhaustive: bool
     trace: HungarianTrace | None = None
+    exhaustive = True  # no budget cuts the search short
 
     def placement_pairs(self) -> list[tuple[str, int]]:
         """(node id, file) pairs, one per storage slot, in node order."""
@@ -125,12 +133,12 @@ class PlanReport:
 
 @dataclass(frozen=True)
 class InfeasiblePlan:
-    """No admissible uncoded placement exists (or none within budget)."""
+    """No admissible uncoded placement exists."""
 
     certificate_ids: tuple[str, ...] | None
-    exhaustive: bool
     message: str
     stats: PlanStats
+    exhaustive = True  # no budget cuts the search short
 
     def to_dict(self) -> dict:
         return {
@@ -146,69 +154,59 @@ class InfeasiblePlan:
 def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport | InfeasiblePlan:
     """Find a minimum-average admissible placement, or prove there is none.
 
-    Searches every supply graph (up to ``options.nng_cap`` when RTT ties
-    produce several).  Infeasibility is reported with a clique
-    certificate when one is found; the ``exhaustive`` flag records
-    whether ``nng_cap`` cut the search.  Raises ``BudgetExceededError``
-    when a supply graph needs a coloring table past ``MAX_TABLE_ROWS``.
+    One exact search covers every supply graph.  Infeasibility is
+    reported with a clique certificate when the greedy search finds
+    one.  Raises ``BudgetExceededError`` when the coloring needs a
+    table past ``MAX_TABLE_ROWS``.
     """
     require_valid(spec, strict=options.strict)
     expanded = expand_multifile(spec)
     work = expanded.network
     k = work.file_count
+    n = work.node_count
 
-    enumeration = enumerate_nngs(work, cap=options.nng_cap)
-    truncated = enumeration.truncated
-    colorable = 0
-    best: tuple[int, int, NearestNeighborGraph, TxLatencyMatrix, tuple[int, ...]] | None = None
-    certificate: tuple[int, ...] | None = None
+    tiers = supplier_tiers(work)
+    shared = NearestNeighborGraph(work.node_ids, tuple(t.shared for t in tiers))
+    h = build_extended_graph(shared)
+    clique = conflict_clique(h, k)
+    found = None
+    if clique is None:
+        # node v pays its threshold for every file it does not hold, and a
+        # forced supplier pays the (negative) gap for the file it serves v
+        rtt, demands = work.rtt_scaled, work.demands_scaled
+        costs = [[0] * k for _ in range(n)]
+        for v, t in enumerate(tiers):
+            row = demands[v]
+            whole = sum(row)
+            for j, d in enumerate(row):
+                costs[v][j] += t.threshold * (whole - d)
+                for s in t.forced:
+                    costs[s][j] += (rtt[s][v] - t.threshold) * d
+        covers = [(v, *t.forced, *t.tied) for v, t in enumerate(tiers) if t.picks < len(t.tied)]
+        found = min_cost_coloring(h, costs, covers)
 
-    for g_idx, nng in enumerate(enumeration.graphs):
-        h = build_extended_graph(nng)
-        clique = conflict_clique(h, k)
-        if clique is not None:
-            certificate = certificate or clique
-            continue
-        tx = tx_latency_matrix(work, nng)
-        found = min_cost_coloring(h, tx.scaled)
-        if found is None:
-            continue
-        colorable += 1
-        # costs are integers over work.cost_scale; a tie keeps the lower graph index
-        if best is None or found[0] < best[0]:
-            best = (found[0], g_idx, nng, tx, found[1])
-
-    solved = int(best is not None)
+    graphs = prod(comb(len(t.tied), t.picks) for t in tiers)
+    solved = int(found is not None)
     stats = PlanStats(
-        graphs=len(enumeration.graphs),
-        colorings=colorable,
-        assignments_solved=solved,
-        assignments_pruned=colorable - solved,
-        truncated=truncated,
+        graphs=graphs, colorings=solved, assignments_solved=solved, assignments_pruned=0
     )
-
-    if best is None:
-        if certificate is not None:
-            ids = tuple(work.node_ids[v] for v in certificate)
-            msg = (
-                f"nodes {', '.join(ids)} must all store different files but "
-                f"form a conflict clique larger than {k}"
-            )
-            return InfeasiblePlan(
-                certificate_ids=ids, exhaustive=not truncated, message=msg, stats=stats
-            )
-        return InfeasiblePlan(
-            certificate_ids=None,
-            exhaustive=not truncated,
-            message="no admissible placement found"
-            + ("" if not truncated else " within the enumeration budgets"),
-            stats=stats,
+    if found is None:
+        ids = clique and tuple(work.node_ids[v] for v in clique)
+        msg = (
+            f"nodes {', '.join(ids)} must all store different files but "
+            f"form a conflict clique larger than {k}"
+            if ids
+            else "no admissible placement found"
         )
+        return InfeasiblePlan(certificate_ids=ids, message=msg, stats=stats)
 
-    value, g_idx, nng, tx, files = best
-    # the matrix method maps the winning partition's classes to files; on
-    # a fixed partition its canonical bijection is the elimination's
-    # lexicographically smallest file vector
+    value, files = found
+    # audit on the first supply graph the winner is admissible for: the
+    # matrix method maps the winning partition's classes to files from
+    # sender-side costs, and on a fixed partition its canonical
+    # bijection is the elimination's lexicographically smallest file vector
+    g_idx, nng = first_supply_graph(work, tiers, files)
+    tx = tx_latency_matrix(work, nng)
     coloring = Coloring.from_files(files, k)
     file_map, trace = hungarian_min_assignment(
         color_cost_matrix(coloring, tx), with_trace=options.with_trace
@@ -249,6 +247,5 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
         expanded_placement=expanded_placement,
         expanded_ids=work.node_ids,
         stats=stats,
-        exhaustive=not truncated,
         trace=trace,
     )

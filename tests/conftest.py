@@ -87,6 +87,27 @@ def random_spec(rng, n=None, k=None, max_nodes=7, max_files=4, multi=False):
     return gp.make_spec(ids, rtt, demands, k, capacities=caps)
 
 
+def tie_heavy_spec(rng, accept, multi=False):
+    """Random network with RTTs in 1..3, so most nodes have tied peers,
+    drawn until ``accept`` holds for its unit-capacity expansion.
+    ``multi`` gives about a quarter of the nodes capacity two."""
+    while True:
+        k = rng.choice((2, 3, 4))
+        n = rng.randint(k, 9)
+        caps = [rng.choice((1, 1, 1, 2)) if multi else 1 for _ in range(n)]
+        rtt = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                rtt[u][v] = rtt[v][u] = rng.randint(1, 3)
+        weights = [[rng.randint(0, 4) for _ in range(k)] for _ in range(n)]
+        weights[0][0] += 1
+        total = sum(map(sum, weights))
+        demands = [[Fraction(w, total) for w in row] for row in weights]
+        spec = gp.make_spec([f"t{i}" for i in range(n)], rtt, demands, k, capacities=caps)
+        if accept(gp.expand_multifile(spec).network):
+            return spec
+
+
 def random_admissible_pair(rng, max_nodes=7, max_files=4):
     """(spec, nng, files) with the placement admissible by construction:
     a proper coloring with a random class-to-file bijection."""

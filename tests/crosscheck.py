@@ -5,7 +5,10 @@ independent of the integer scale ``geoplan.hungarian_min_assignment``
 runs on, and return the same canonical optimum: the lexicographically
 smallest optimal (class, file) mapping.  The coloring helpers collect
 ``geoplan.iter_colorings`` and check partitions; ``receive_side_avg``
-is the receive-side form of the average latency.
+is the receive-side form of the average latency, and ``is_admissible``
+checks a placement against one supply graph.  ``admissible_placements``
+finds the placements that some supply graph admits by enumerating every
+supply graph and every coloring of it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import Sequence
 
 import geoplan as gp
 from geoplan.assignment import _lex_min_zero_assignment
@@ -144,6 +148,29 @@ def class_of(coloring: gp.Coloring) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_admissible(placement: gp.Placement | Sequence[int], nng: gp.NearestNeighborGraph) -> bool:
+    """Whether a single-file-per-node placement serves every node from
+    within its closed in-neighborhood.
+
+    True exactly when the files stored across each closed in-neighborhood
+    are pairwise distinct, which makes them all k files.
+    """
+    if isinstance(placement, gp.Placement):
+        files = placement.as_single_files()
+    else:
+        files = tuple(int(f) for f in placement)
+    if len(files) != nng.node_count:
+        raise gp.InvalidInputError("placement length does not match the graph")
+    k = nng.file_count
+    for v in range(nng.node_count):
+        seen = 0
+        for s in nng.closed_in(v):
+            seen |= 1 << files[s]
+        if seen.bit_count() != k:
+            return False
+    return True
+
+
 def receive_side_avg(spec: gp.NetworkSpec, nng: gp.NearestNeighborGraph, placement) -> Fraction:
     """Average latency computed from the receive side of the supply graph.
 
@@ -156,10 +183,32 @@ def receive_side_avg(spec: gp.NetworkSpec, nng: gp.NearestNeighborGraph, placeme
     if not plc.is_unit:
         raise gp.InvalidInputError("receive-side form needs one file per node; expand first")
     files = plc.as_single_files()
-    if not gp.is_admissible(files, nng):
+    if not is_admissible(files, nng):
         raise gp.InvalidInputError("placement is not admissible for this graph")
     total = Fraction(0)
     for v in range(spec.node_count):
         for s in nng.closed_in(v):
             total += spec.rtt[s][v] * spec.demands[v][files[s]]
     return total
+
+
+def admissible_placements(spec: gp.NetworkSpec) -> dict[tuple[int, ...], tuple[int, Fraction]]:
+    """Per unit placement admissible for some supply graph: (index of the
+    first such graph in ``enumerate_nngs`` order, its transmit-side
+    average on Fractions).  Enumerates every supply graph, uncapped,
+    every partition from ``iter_colorings`` and every class-to-file
+    bijection."""
+    k = spec.file_count
+    enumeration = gp.enumerate_nngs(spec, cap=gp.enumerate_nngs(spec).total)
+    found: dict[tuple[int, ...], tuple[int, Fraction]] = {}
+    for g_idx, nng in enumerate(enumeration.graphs):
+        tx = gp.tx_latency_matrix(spec, nng).values
+        for coloring in gp.iter_colorings(gp.build_extended_graph(nng), k):
+            for perm in permutations(range(k)):
+                files = [0] * spec.node_count
+                for idx, members in enumerate(coloring.classes):
+                    for s in members:
+                        files[s] = perm[idx]
+                if tuple(files) not in found:
+                    found[tuple(files)] = (g_idx, sum(tx[s][j] for s, j in enumerate(files)))
+    return found

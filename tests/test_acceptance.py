@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import geoplan as gp
 from conftest import random_admissible_pair, random_spec
-from crosscheck import brute_force_assignment, receive_side_avg
+from crosscheck import brute_force_assignment, is_admissible, receive_side_avg
 
 F = Fraction
 
@@ -122,7 +122,7 @@ def test_criterion_06_worst_case_floors():
             files = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
             rng.shuffle(files)
             latency = gp.eval_uncoded(spec, files)
-            admissible = gp.is_admissible(tuple(files), nng)
+            admissible = is_admissible(tuple(files), nng)
             for got, floor in zip(latency.worst_case, latency.wc_bounds):
                 assert got >= floor
             if admissible:

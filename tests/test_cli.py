@@ -208,6 +208,20 @@ def test_oracle_infeasible_exit(infeasible_file, capsys):
     assert "no feasible placement" in capsys.readouterr().out
 
 
+def test_wide_tie_grid_exits_5(tmp_path, capsys):
+    """A 6 x 6 Manhattan grid with three files ties every node with up to
+    four peers; the one search needs a table past MAX_TABLE_ROWS, and
+    plan refuses instead of returning a plan that might not be optimal."""
+    cells = [(x, y) for x in range(6) for y in range(6)]
+    rtt = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in cells] for a in cells]
+    n = len(cells)
+    spec = gp.make_spec([f"g{i}" for i in range(n)], rtt, [[F(1, 3 * n)] * 3] * n, 3)
+    path = tmp_path / "grid.json"
+    gp.save_spec(spec, str(path))
+    assert cli.main(["plan", "--spec", str(path)]) == 5
+    assert "past 100000 rows" in capsys.readouterr().err
+
+
 def test_oracle_budget_exit(capsys):
     assert cli.main(["oracle", "--spec", EX1, "--budget", "10"]) == 5
     assert "budget exceeded" in capsys.readouterr().err
@@ -390,6 +404,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["plan", "--spec", EX1, "--coloring-limit", "5"])
     assert exc.value.code == 2
+    for command in ("plan", "oracle"):  # every supply graph is searched
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--spec", EX1, "--nng-cap", "4"])
+        assert exc.value.code == 2
 
 
 def test_console_script_smoke():

@@ -104,7 +104,7 @@ def test_enumeration_limit_truncates():
 def test_no_duplicate_partitions():
     h = gp.ExtendedGraph(node_ids=tuple("abcde"), edges=((0, 1),))
     colorings = enumerate_colorings(h, 3).colorings
-    keys = [c.key() for c in colorings]
+    keys = [c.classes for c in colorings]
     assert len(keys) == len(set(keys))
     # S(5,3) = 25 partitions, minus S(4,3) = 6 that join nodes 0 and 1
     assert len(keys) == 19

@@ -23,7 +23,7 @@ F = Fraction
 SPEC_COUNT = 40
 RTT_DENOMINATORS = (1, 3, 7, 10)
 
-GOLDEN_SHA256 = "445942129c871eb5ba55d0438b18426894717cde29202c462d53f5f5cfd95f15"
+GOLDEN_SHA256 = "b21b0ef9dfc3464248cdee9968809d153ab711d05987de8bbd32c1d61b0723fc"
 
 
 def golden_spec(rng: random.Random) -> gp.NetworkSpec:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import geoplan as gp
-from conftest import random_spec
+from conftest import random_spec, tie_heavy_spec
+from crosscheck import admissible_placements, is_admissible
+from geoplan.nngraph import first_supply_graph, supplier_tiers
 
 
 def by_id(spec, nng):
@@ -161,12 +164,12 @@ def test_closed_in_sets_are_cliques(ex1_nng):
 
 
 def test_admissibility_example(ex1_nng):
-    assert gp.is_admissible((2, 1, 2, 0), ex1_nng)
+    assert is_admissible((2, 1, 2, 0), ex1_nng)
     # B in In(A): sharing a file breaks A's closed in-set
-    assert not gp.is_admissible((1, 1, 2, 0), ex1_nng)
-    assert not gp.is_admissible(gp.Placement.from_files((0, 0, 0, 0)), ex1_nng)
+    assert not is_admissible((1, 1, 2, 0), ex1_nng)
+    assert not is_admissible(gp.Placement.from_files((0, 0, 0, 0)), ex1_nng)
     with pytest.raises(gp.InvalidInputError):
-        gp.is_admissible((0, 1), ex1_nng)
+        is_admissible((0, 1), ex1_nng)
 
 
 def test_k2_extended_equals_deduplicated_nng():
@@ -215,3 +218,42 @@ def test_exact_ties_in_supply_graphs_and_floors():
     assert gp.wc_lower_bounds(spec) == (third,) * 5
     two = gp.make_spec("ABCDE", rtt, [[share] * 3] * 5, 3, capacities=(2, 1, 1, 1, 1))
     assert gp.wc_lower_bounds(two) == (c, third, third, c, third)
+
+
+def test_per_node_predicate_matches_graph_enumeration():
+    """Admissible for some supply graph, by enumerating every graph and
+    every coloring, is exactly the per-node test: each node and its
+    strictly nearer suppliers hold distinct files, and adding its tied
+    peers brings in all k.  Checked on every placement of 200 networks
+    through ``first_supply_graph``, the oracle and the elimination."""
+    rng = random.Random(151)
+    tied = 0
+    for _ in range(200):
+        spec = tie_heavy_spec(
+            rng, lambda work: work.file_count**work.node_count <= 6561
+            and gp.enumerate_nngs(work).total <= 256
+        )
+        k, n = spec.file_count, spec.node_count
+        expected = admissible_placements(spec)
+        tiers = supplier_tiers(spec)
+        graphs = gp.enumerate_nngs(spec, cap=10**6).graphs
+        tied += len(graphs) > 1
+        for files in product(range(k), repeat=n):
+            if files in expected:
+                g_idx = expected[files][0]
+                assert first_supply_graph(spec, tiers, files) == (g_idx, graphs[g_idx])
+            else:
+                with pytest.raises(gp.InvalidInputError, match="no supply graph"):
+                    first_supply_graph(spec, tiers, files)
+        oracle = gp.brute_force_placement(spec)
+        assert oracle.scored == len(expected)
+        # the elimination's conflict cliques and covers keep the same
+        # placements: on random costs its optimum is the enumerated one
+        h = gp.build_extended_graph(
+            gp.NearestNeighborGraph(spec.node_ids, tuple(t.shared for t in tiers))
+        )
+        covers = [(v, *t.forced, *t.tied) for v, t in enumerate(tiers) if t.picks < len(t.tied)]
+        costs = [[rng.randint(-3, 9) for _ in range(k)] for _ in range(n)]
+        best = min(((sum(costs[s][j] for s, j in enumerate(f)), f) for f in expected), default=None)
+        assert gp.min_cost_coloring(h, costs, covers) == best
+    assert tied >= 120

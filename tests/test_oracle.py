@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import geoplan as gp
-from conftest import random_spec
+from conftest import random_spec, tie_heavy_spec
 
 F = Fraction
 
@@ -21,7 +21,7 @@ def test_oracle_example_admissible(ex1):
     assert res.search_space == 81
     assert res.scored == 6
     assert [w.files_by_node for w in res.witnesses] == [((2,), (1,), (2,), (0,))]
-    assert not res.graphs_truncated
+    assert "graphs_truncated" not in res.to_dict()
     assert not res.witnesses_capped
 
 
@@ -171,3 +171,30 @@ def test_oracle_matches_planner_on_random_instances():
         assert gp.verify_plan(spec, report).status == "verified"
         agreements += 1
     assert agreements >= 10
+
+
+def test_planner_equals_oracle_past_64_supply_graphs():
+    """Tie-heavy networks with more than 64 supply graphs, where a graph
+    cap used to hide the optimum.  On unit networks the plan is the
+    oracle's first witness: the lexicographically smallest optimal
+    file vector."""
+    rng = random.Random(157)
+    checked = unit = 0
+    while checked < 60:
+        spec = tie_heavy_spec(
+            rng, lambda work: work.file_count**work.node_count <= 20_000
+            and gp.enumerate_nngs(work).total > 64, multi=checked % 2 == 1
+        )
+        work = gp.expand_multifile(spec).network
+        checked += 1
+        report = gp.plan(spec)
+        oracle = gp.brute_force_placement(spec)
+        if isinstance(report, gp.InfeasiblePlan):
+            assert oracle.best_value is None
+            continue
+        assert report.value == oracle.best_value
+        assert report.stats.graphs == gp.enumerate_nngs(work).total
+        if spec.is_unit_capacity:
+            assert report.placement == oracle.witnesses[0]
+            unit += 1
+    assert unit >= 10

@@ -14,7 +14,7 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec
-from crosscheck import brute_force_assignment
+from crosscheck import admissible_placements, brute_force_assignment
 from geoplan import cli
 
 F = Fraction
@@ -50,7 +50,7 @@ def test_plan_example(ex1):
     assert report.coloring.classes == ((0, 2), (1,), (3,))
     assert report.file_map.assignment == (2, 1, 0)
     assert report.exhaustive
-    assert report.stats == gp.PlanStats(1, 1, 1, 0, False)
+    assert report.stats == gp.PlanStats(1, 1, 1, 0)
     assert report.trace is None
 
 
@@ -124,13 +124,14 @@ def test_plan_multi_capacity(ex1):
     assert report.value == F(9, 10)
     assert report.placement.files_by_node == ((0, 2), (1,), (2,), (0,))
     assert report.expanded_ids == ("A#1", "A#2", "B", "C", "D")
-    assert report.expanded_placement.files_by_node == ((2,), (0,), (1,), (2,), (0,))
+    # the lexicographically smallest optimal file vector over the slots
+    assert report.expanded_placement.files_by_node == ((0,), (2,), (1,), (2,), (0,))
     assert report.placement_pairs() == [
         ("A", 0), ("A", 2), ("B", 1), ("C", 2), ("D", 0),
     ]
     data = report.to_dict()
     assert data["expanded_placement"] == [
-        ["A#1", 2], ["A#2", 0], ["B", 1], ["C", 2], ["D", 0],
+        ["A#1", 0], ["A#2", 2], ["B", 1], ["C", 2], ["D", 0],
     ]
     # more room can only help
     assert report.value <= gp.plan(ex1).value
@@ -154,7 +155,9 @@ def test_plan_single_file():
     assert report.exhaustive
 
 
-def test_graph_cap_marks_plan_non_exhaustive():
+def test_all_tied_k4_is_planned_exhaustively():
+    """Every node sees the other three at distance 1: 81 supply graphs,
+    past the 64 a graph cap used to stop at, all in one search."""
     demands = [[F(1, 12)] * 3 for _ in range(4)]
     tied = gp.make_spec(
         ("P", "Q", "R", "S"),
@@ -162,14 +165,17 @@ def test_graph_cap_marks_plan_non_exhaustive():
         demands,
         3,
     )
-    capped = gp.plan(tied, gp.PlanOptions(nng_cap=4))
-    assert capped.value == F(2, 3)
-    assert not capped.exhaustive
-    assert capped.stats.truncated
-    full = gp.plan(tied, gp.PlanOptions(nng_cap=100))
+    full = gp.plan(tied)
     assert full.value == F(2, 3)
     assert full.exhaustive
-    assert full.stats.graphs == 81
+    assert full.stats == gp.PlanStats(81, 1, 1, 0)
+    assert full.expanded_placement.as_single_files() == (0, 0, 1, 2)
+    # P and Q both hold file 0, so every node takes the lowest tied
+    # holder of each file it misses
+    assert full.graph.in_neighbors == ((2, 3), (2, 3), (0, 3), (0, 2))
+    assert gp.enumerate_nngs(tied, cap=81).graphs[full.graph_index] == full.graph
+    # the option is accepted and no longer changes the search
+    assert gp.plan(tied, gp.PlanOptions(nng_cap=4)) == full
 
 
 def test_paired_instance_is_planned_exactly():
@@ -177,7 +183,7 @@ def test_paired_instance_is_planned_exactly():
     full = gp.plan(spec)
     assert full.value == F(1, 2)
     assert full.exhaustive
-    assert full.stats == gp.PlanStats(1, 1, 1, 0, False)
+    assert full.stats == gp.PlanStats(1, 1, 1, 0)
     assert full.placement.files_by_node == ((0,), (1,), (0,), (1,), (0,), (1,))
     # the option is accepted and no longer changes the search
     assert gp.plan(spec, gp.PlanOptions(coloring_limit=2)) == full
@@ -303,10 +309,10 @@ def test_transmit_costs_are_built_only_for_uncertified_graphs(monkeypatch):
     gp.plan(gp.example_instance())
     assert len(calls) == 1
 
-    # tied RTTs: several supply graphs, only some of them free of a
-    # conflict triangle (a 5-cycle has none and still no 2-coloring)
+    # tied RTTs: several supply graphs, and transmit costs are built
+    # once, for the graph the plan reports
     rng = random.Random(71)
-    seen_mixed = False
+    tied = 0
     for _ in range(60):
         n = rng.randint(4, 7)
         rtt = [[0] * n for _ in range(n)]
@@ -314,16 +320,11 @@ def test_transmit_costs_are_built_only_for_uncertified_graphs(monkeypatch):
             for v in range(u + 1, n):
                 rtt[u][v] = rtt[v][u] = rng.randint(1, 3)
         spec = gp.make_spec([f"t{i}" for i in range(n)], rtt, [[F(1, 2 * n)] * 2] * n, 2)
-        graphs = gp.enumerate_nngs(spec).graphs
-        uncertified = [
-            nng for nng in graphs
-            if gp.conflict_clique(gp.build_extended_graph(nng), 2) is None
-        ]
-        seen_mixed |= 0 < len(uncertified) < len(graphs)
         calls.clear()
-        gp.plan(spec, gp.PlanOptions(with_trace=True))
-        assert calls == uncertified
-    assert seen_mixed
+        report = gp.plan(spec, gp.PlanOptions(with_trace=True))
+        assert calls == [report.graph]
+        tied += report.stats.graphs > 1
+    assert tied >= 30
 
 
 def tied_or_distinct_spec(rng, n, k):
@@ -344,43 +345,37 @@ def tied_or_distinct_spec(rng, n, k):
     return gp.make_spec([f"x{i}" for i in range(n)], rtt, demands, k)
 
 
-def enumerated_optimum(spec, nng_cap=64):
-    """(value, graph index, files) minimizing over every supply graph,
-    every partition from ``iter_colorings`` and every class-to-file
-    bijection, on Fractions; ties take the lowest graph index, then the
-    lexicographically smallest file vector.  None when nothing colors."""
-    k = spec.file_count
+def enumerated_optimum(spec):
+    """(value, files, graph index) minimizing over every supply graph
+    (uncapped), every partition from ``iter_colorings`` and every
+    class-to-file bijection, on Fractions; ties take the
+    lexicographically smallest file vector, and the index is the first
+    graph that admits it.  None when nothing colors."""
     best = None
-    for g_idx, nng in enumerate(gp.enumerate_nngs(spec, cap=nng_cap).graphs):
-        tx = gp.tx_latency_matrix(spec, nng).values
-        for coloring in gp.iter_colorings(gp.build_extended_graph(nng), k):
-            for perm in permutations(range(k)):
-                files = [0] * spec.node_count
-                for idx, members in enumerate(coloring.classes):
-                    for s in members:
-                        files[s] = perm[idx]
-                value = sum(tx[s][j] for s, j in enumerate(files))
-                key = (value, g_idx, tuple(files))
-                if best is None or key < best:
-                    best = key
+    for files, (g_idx, value) in admissible_placements(spec).items():
+        key = (value, files, g_idx)
+        if best is None or key < best:
+            best = key
     return best
 
 
 def test_elimination_equals_enumerated_colorings():
     rng = random.Random(131)
     outcomes = {"ok": 0, "infeasible": 0}
+    many_graphs = 0
     for _ in range(150):
         k = rng.choice((2, 3, 4))
         spec = tied_or_distinct_spec(rng, rng.randint(k, 10 if k == 2 else 8), k)
         report = gp.plan(spec)
         expected = enumerated_optimum(spec)
-        # only the supply-graph cap (64) cuts the search
-        assert report.exhaustive is not gp.enumerate_nngs(spec).truncated
+        assert report.exhaustive
+        assert report.stats.graphs == gp.enumerate_nngs(spec).total
+        many_graphs += report.stats.graphs > 64
         if expected is None:
             assert isinstance(report, gp.InfeasiblePlan)
             outcomes["infeasible"] += 1
             continue
-        value, g_idx, files = expected
+        value, files, g_idx = expected
         assert (report.value, report.graph_index) == (value, g_idx)
         assert report.expanded_placement.as_single_files() == files
         # the matrix method on the winning partition agrees with factorial search
@@ -388,6 +383,7 @@ def test_elimination_equals_enumerated_colorings():
         assert brute_force_assignment(cost) == report.file_map
         outcomes["ok"] += 1
     assert min(outcomes.values()) >= 10
+    assert many_graphs >= 10
 
 
 def test_many_components_are_planned_exhaustively():
