@@ -56,6 +56,13 @@ def _emit(data: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _load(args) -> NetworkSpec:
     return load_spec(args.spec, rtt_csv=args.rtt_csv, demands_csv=args.demands_csv)
 
@@ -155,7 +162,7 @@ def cmd_eval(args) -> int:
 def cmd_oracle(args) -> int:
     spec = _load(args)
     mode = "admissible_only" if args.mode == "admissible" else "unrestricted"
-    result = brute_force_placement(spec, mode=mode, budget=args.budget or DEFAULT_ORACLE_BUDGET)
+    result = brute_force_placement(spec, mode=mode, budget=args.budget)
     payload = result.to_dict()
     if result.best_value is None:
         print("no feasible placement in this mode")
@@ -243,8 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--mode", choices=["admissible", "unrestricted"],
                    default="admissible", help="placement universe to search")
-    p.add_argument("--budget", type=int, default=None,
-                   help="max placements to enumerate")
+    p.add_argument("--budget", type=non_negative_int, default=DEFAULT_ORACLE_BUDGET,
+                   help="refuse networks with more than N placements (k^slots)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("export", help="write supply and conflict graphs as DOT")

@@ -122,6 +122,18 @@ class NetworkSpec:
             bounds.append(bound)
         return tuple(bounds)
 
+    @cached_property
+    def validation(self) -> ValidationResult:
+        """``validate_spec(self)``, triangle breaches as warnings.
+        Computed once per spec object; ``require_valid`` reads it."""
+        return validate_spec(self)
+
+    @cached_property
+    def _expansion(self) -> ExpandedSpec:
+        """``expand_multifile(self)`` for a spec with a capacity above
+        one, computed once per spec object."""
+        return _split_capacities(self)
+
     def to_dict(self) -> dict:
         """Serializable form; exact values are rendered as strings."""
         return {
@@ -324,8 +336,9 @@ def validate_spec(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
 
 
 def require_valid(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
-    """Validate and raise InvalidSpecError on any error-grade violation."""
-    result = validate_spec(spec, strict=strict)
+    """Validate and raise InvalidSpecError on any error-grade violation.
+    The non-strict result is the one cached on the spec."""
+    result = validate_spec(spec, strict=True) if strict else spec.validation
     if not result.ok:
         lines = "; ".join(v.message for v in result.errors)
         raise InvalidSpecError(f"invalid network: {lines}", result)
@@ -409,7 +422,9 @@ def expand_multifile(spec: NetworkSpec) -> ExpandedSpec:
     formed as ``"<id>#<slot>"``.  A unit-capacity network is its own
     expansion (``network is spec``), so its cached integer scales are
     computed once; that assumes the zero diagonal every caller has
-    already validated.
+    already validated.  Any other expansion is built once per spec
+    object.  The trivial one is built afresh: cached on the spec, it
+    would hold the spec in a reference cycle.
     """
     n = spec.node_count
     if spec.is_unit_capacity:
@@ -418,6 +433,11 @@ def expand_multifile(spec: NetworkSpec) -> ExpandedSpec:
             provenance=tuple((v, 1) for v in range(n)),
             groups=tuple((v,) for v in range(n)),
         )
+    return spec._expansion
+
+
+def _split_capacities(spec: NetworkSpec) -> ExpandedSpec:
+    n = spec.node_count
     existing = set(spec.node_ids)
     sub_ids: list[str] = []
     provenance: list[tuple[int, int]] = []

@@ -1,14 +1,20 @@
 """Brute-force oracle and plan verdicts.
 
-The oracle enumerates raw placement functions (file index per storage
-slot) and scores each by the nearest-holder rule alone; it never
-touches the planner's graph/coloring/assignment machinery, so
+The oracle searches raw placement functions (file index per storage
+slot) depth first, slot 0 first and files ascending, which is
+lexicographic order, and scores each by the nearest-holder rule alone;
+it never touches the planner's graph/coloring/assignment machinery, so
 agreement between the two is meaningful evidence.  Admissibility is
 tested per node, from the definition: some choice of the node's k-1
 nearest peers (any of the peers tied at the (k-1)-th distance may
-serve) must hold, together with the node, all k files.  Scoring runs
-on the network's cached integer scale (``NetworkSpec.cost_scale``),
-and every reported witness is re-scored by ``eval_uncoded`` before it
+serve) must hold, together with the node, all k files.  The search
+cuts a prefix as soon as it decides a condition: a slot repeats the
+file of a slot it must differ from, or a set that must hold all k
+files (a node with every peer within its (k-1)-th distance, or all
+slots) misses more files than it has slots left.  The budget still refuses on all k^slots placements.
+Scoring runs on the network's cached integer scale
+(``NetworkSpec.cost_scale``), and each distinct reported witness is
+re-scored once by ``eval_uncoded`` on the network as given before it
 leaves.
 """
 
@@ -16,9 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import product
-from operator import itemgetter, or_
 
 from .errors import AuditError, BudgetExceededError, InvalidInputError
 from .evaluation import eval_uncoded
@@ -69,7 +72,10 @@ def brute_force_placement(
     exactly that distance brings in every file.  Capacities
     are expanded to unit slots first and witnesses projected back.
 
-    Raises when the k ** slot_count space exceeds ``budget``.
+    The search assigns slots 0, 1, ... in turn, files ascending, so
+    placements come in lexicographic order; a prefix is cut as soon as
+    it breaks a condition that no completion can repair.  Raises when
+    the k ** slot_count space exceeds ``budget``.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown oracle mode {mode!r}")
@@ -84,24 +90,30 @@ def brute_force_placement(
             f"{k}^{n} = {space} placements exceed the oracle budget of {budget}"
         )
 
-    # score = integer total over cost_scale
     rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
-    # admissibility as checks on a placement's bits (file j is 1 << j):
-    # (picker, combine, distinct files the picked nodes must hold); a sum
-    # of bits keeps one bit per node only when no file repeats
-    union = partial(reduce, or_)
-    checks = []
+    # per slot s: the earlier slots whose files s must differ from, and
+    # for each cover s is in (a set that must hold all k files; all slots
+    # form one) its earlier members and how many files they and s must
+    # hold so that no more are missing than members are left
+    differ: list[set[int]] = [set() for _ in range(n)]
+    covers: set[tuple[int, ...]] = {tuple(range(n))}  # surjectivity
     if mode == "admissible_only" and k > 1:
         for v in range(n):
             far = sorted(rtt_i[v][u] for u in range(n) if u != v)[k - 2]
             near = [u for u in range(n) if u == v or rtt_i[v][u] < far]
             within = [u for u in range(n) if rtt_i[v][u] <= far]
-            if len(within) == k:  # k nodes holding all k files hold distinct ones
-                checks.append((itemgetter(*within), sum, k))
-                continue
-            checks.append((itemgetter(*within), union, k))
-            if len(near) > 1:
-                checks.append((itemgetter(*near), sum, len(near)))
+            # k nodes holding all k files hold distinct ones
+            distinct = within if len(within) == k else near
+            for i, s in enumerate(distinct):
+                differ[s].update(distinct[:i])
+            if len(within) > k:
+                covers.add(tuple(within))
+    needs: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
+    for cover in covers:
+        for i, s in enumerate(cover):
+            need = k - (len(cover) - 1 - i)
+            if need > 1:
+                needs[s].append((cover[:i], need))
     # per node: all nodes by distance, nearest first, index as tie-break
     order = [
         sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)
@@ -113,67 +125,70 @@ def brute_force_placement(
     scored = 0
 
     onehot = [1 << j for j in range(k)]
-    for files, bits in zip(product(range(k), repeat=n), product(onehot, repeat=n)):
-        admissible = True
-        for pick, combine, count in checks:
-            if combine(pick(bits)).bit_count() != count:
-                admissible = False
-                break
-        if not admissible:
+    every = (1 << k) - 1
+    files = [0] * n
+    # stack[s]: the files slot s may still take under files[:s]
+    stack: list = []
+    s = 0
+    while s >= 0:
+        if len(stack) == s:
+            taken = 0
+            for t in differ[s]:
+                taken |= onehot[files[t]]
+            for earlier, need in needs[s]:
+                held = 0
+                for t in earlier:
+                    held |= onehot[files[t]]
+                short = need - held.bit_count()
+                if short == 1:  # s must bring a file the cover lacks
+                    taken |= held
+                elif short > 1:
+                    taken = every
+                    break
+            stack.append(iter([j for j in range(k) if not taken & onehot[j]]))
+        j = next(stack[s], None)
+        if j is None:
+            stack.pop()
+            s -= 1
             continue
+        files[s] = j
+        if s + 1 < n:
+            s += 1
+            continue
+
+        # a leaf passed every check: score it, nearest holder per file
         total = 0
-        surjective = True
         for v in range(n):
-            dist = [-1] * k
-            left = k
+            dist, row = rtt_i[v], dem_i[v]
+            found = 0
             for u in order[v]:
-                j = files[u]
-                if dist[j] < 0:
-                    dist[j] = rtt_i[v][u]
-                    left -= 1
-                    if left == 0:
+                f = files[u]
+                if not found & onehot[f]:
+                    found |= onehot[f]
+                    total += row[f] * dist[u]
+                    if found == every:
                         break
-            if left:
-                surjective = False
-                break
-            row = dem_i[v]
-            for j in range(k):
-                total += row[j] * dist[j]
-        if not surjective:
-            continue
         scored += 1
         if best is None or total < best:
             best = total
-            raw_witnesses = [files]
+            raw_witnesses = [tuple(files)]
             capped = False
         elif total == best:
             if len(raw_witnesses) < witness_cap:
-                raw_witnesses.append(files)
+                raw_witnesses.append(tuple(files))
             else:
                 capped = True
 
-    if best is None:
-        return OracleResult(
-            best_value=None,
-            witnesses=(),
-            search_space=space,
-            scored=scored,
-            mode=mode,
-            witnesses_capped=False,
-        )
-
-    best_value = Fraction(best, work.cost_scale)
-    witnesses: list[Placement] = []
-    seen = set()
-    for files in raw_witnesses:
-        # independent confirmation on the exact rational path
-        report = eval_uncoded(work, files)
+    best_value = None if best is None else Fraction(best, work.cost_scale)
+    witnesses = dict.fromkeys(
+        expanded.project_placement(Placement.from_files(files)) for files in raw_witnesses
+    )
+    for placement in witnesses:
+        # independent confirmation on the exact rational path, on the
+        # network as given, so the projection is checked too
+        report = eval_uncoded(spec, placement)
         if report.average != best_value:
             raise AuditError(f"witness scores {report.average}, search found {best_value}")
-        projected = expanded.project_placement(Placement.from_files(files))
-        if projected.files_by_node not in seen:
-            seen.add(projected.files_by_node)
-            witnesses.append(projected)
     return OracleResult(
         best_value=best_value,
         witnesses=tuple(witnesses),

@@ -8,14 +8,18 @@ smallest optimal (class, file) mapping.  The coloring helpers collect
 is the receive-side form of the average latency, and ``is_admissible``
 checks a placement against one supply graph.  ``admissible_placements``
 finds the placements that some supply graph admits by enumerating every
-supply graph and every coloring of it.
+supply graph and every coloring of it.  ``product_oracle`` is the
+oracle's exhaustive loop over every one of the k^slots placements,
+kept as the reference its depth-first search must reproduce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import partial, reduce
+from itertools import permutations, product
+from operator import itemgetter, or_
 from typing import Sequence
 
 import geoplan as gp
@@ -212,3 +216,80 @@ def admissible_placements(spec: gp.NetworkSpec) -> dict[tuple[int, ...], tuple[i
                 if tuple(files) not in found:
                     found[tuple(files)] = (g_idx, sum(tx[s][j] for s, j in enumerate(files)))
     return found
+
+
+def product_oracle(
+    spec: gp.NetworkSpec, mode: str, witness_caps: Sequence[int]
+) -> tuple[gp.OracleResult, ...]:
+    """``brute_force_placement`` at each witness cap, without its budget
+    or witness audit: every placement in ``itertools.product`` order is
+    tested against every admissibility check and, if it passes, scored."""
+    expanded = gp.expand_multifile(spec)
+    work = expanded.network
+    n = work.node_count
+    k = work.file_count
+    rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
+    # admissibility as checks on a placement's bits (file j is 1 << j):
+    # (picker, combine, distinct files the picked nodes must hold); a sum
+    # of bits keeps one bit per node only when no file repeats
+    union = partial(reduce, or_)
+    checks = []
+    if mode == "admissible_only" and k > 1:
+        for v in range(n):
+            far = sorted(rtt_i[v][u] for u in range(n) if u != v)[k - 2]
+            near = [u for u in range(n) if u == v or rtt_i[v][u] < far]
+            within = [u for u in range(n) if rtt_i[v][u] <= far]
+            if len(within) == k:
+                checks.append((itemgetter(*within), sum, k))
+                continue
+            checks.append((itemgetter(*within), union, k))
+            if len(near) > 1:
+                checks.append((itemgetter(*near), sum, len(near)))
+    order = [sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)]
+
+    best = None
+    optimal: list[tuple[int, ...]] = []
+    scored = 0
+    onehot = [1 << j for j in range(k)]
+    for files, bits in zip(product(range(k), repeat=n), product(onehot, repeat=n)):
+        if any(combine(pick(bits)).bit_count() != count for pick, combine, count in checks):
+            continue
+        total = 0
+        surjective = True
+        for v in range(n):
+            dist = [-1] * k
+            left = k
+            for u in order[v]:
+                j = files[u]
+                if dist[j] < 0:
+                    dist[j] = rtt_i[v][u]
+                    left -= 1
+                    if left == 0:
+                        break
+            if left:
+                surjective = False
+                break
+            total += sum(p * d for p, d in zip(dem_i[v], dist))
+        if not surjective:
+            continue
+        scored += 1
+        if best is None or total < best:
+            best, optimal = total, [files]
+        elif total == best:
+            optimal.append(files)
+    return tuple(
+        gp.OracleResult(
+            best_value=None if best is None else Fraction(best, work.cost_scale),
+            witnesses=tuple(
+                dict.fromkeys(
+                    expanded.project_placement(gp.Placement.from_files(files))
+                    for files in optimal[:cap]
+                )
+            ),
+            search_space=k**n,
+            scored=scored,
+            mode=mode,
+            witnesses_capped=len(optimal) > cap,
+        )
+        for cap in witness_caps
+    )

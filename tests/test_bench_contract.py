@@ -4,11 +4,15 @@ Reads bench/ and changes nothing in it: every workload's plan options
 construct, and the first two instances of each seed-1 pool go through
 the benchmark's own op runner and output checks without a failure, and
 the tracer finds every function it times and reports no metric as
-missing.
+missing.  One traced pass of each workload also runs as the benchmark
+command itself, whose last line of stdout is its JSON result (the runs
+write the git-ignored bench/out/).
 """
 
 from __future__ import annotations
 
+import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -70,3 +74,20 @@ def test_one_traced_pass_reports_every_metric(workload):
             tracer.uninstall()
     metrics = tracer.summary(1, traced_ns, untraced_ns)
     assert [name for name, m in metrics.items() if m["value"] is None] == []
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_traced_command_ends_in_a_correct_json_result(workload):
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *_, summary, last = proc.stdout.splitlines()
+    result = json.loads(last)
+    assert result["correct"] is True and result["failed"] == 0
+    assert summary.endswith("absent: none")

@@ -225,6 +225,10 @@ def test_wide_tie_grid_exits_5(tmp_path, capsys):
 def test_oracle_budget_exit(capsys):
     assert cli.main(["oracle", "--spec", EX1, "--budget", "10"]) == 5
     assert "budget exceeded" in capsys.readouterr().err
+    # 0 is a budget like any other, not a request for the default
+    assert cli.main(["oracle", "--spec", EX1, "--budget", "0"]) == 5
+    assert "budget of 0" in capsys.readouterr().err
+    assert cli.main(["oracle", "--spec", EX1, "--budget", "81"]) == 0
 
 
 def test_export_default(tmp_path, capsys):
@@ -403,6 +407,9 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["plan", "--spec", EX1, "--coloring-limit", "5"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--spec", EX1, "--budget", "-1"])
     assert exc.value.code == 2
     for command in ("plan", "oracle"):  # every supply graph is searched
         with pytest.raises(SystemExit) as exc:

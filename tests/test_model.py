@@ -42,6 +42,25 @@ def test_require_valid_carries_result():
         pytest.fail("expected InvalidSpecError")
 
 
+def test_validation_and_expansion_are_computed_once_per_spec(ex1, monkeypatch):
+    calls = []
+    real = gp.model.validate_spec
+
+    def counted(spec, strict=False):
+        calls.append(strict)
+        return real(spec, strict=strict)
+
+    monkeypatch.setattr(gp.model, "validate_spec", counted)
+    spec = gp.make_spec(ex1.node_ids, ex1.rtt, ex1.demands, 3, capacities=(2, 1, 1, 1))
+    assert gp.require_valid(spec) is gp.require_valid(spec)
+    assert calls == [False]
+    # strict runs afresh: its triangle breach is an error
+    with pytest.raises(gp.InvalidSpecError):
+        gp.require_valid(spec, strict=True)
+    assert calls == [False, True]
+    assert gp.expand_multifile(spec) is gp.expand_multifile(spec)
+
+
 def test_asymmetric_rtt_rejected():
     spec = gp.make_spec(("X", "Y"), ((0, 1), (2, 0)), ((Fraction(1, 2), 0), (0, Fraction(1, 2))), 2)
     assert "rtt-asymmetric" in kinds(gp.validate_spec(spec))

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import geoplan as gp
 from conftest import random_spec, tie_heavy_spec
+from crosscheck import product_oracle
 
 F = Fraction
 
@@ -198,3 +202,99 @@ def test_planner_equals_oracle_past_64_supply_graphs():
             assert report.placement == oracle.witnesses[0]
             unit += 1
     assert unit >= 10
+
+
+def test_depth_first_search_equals_product_loop():
+    """The depth-first search against the exhaustive product loop on 200
+    tie-heavy networks, a third of them multi-capacity: best value,
+    counts, witnesses in order and the cap flag, at witness caps 1, 2
+    and 64.  Unrestricted mode, whose only cut is surjectivity, is
+    compared on the networks of at most 2,500 placements, which keeps
+    the test to a few seconds."""
+    rng = random.Random(211)
+    caps = (1, 2, 64)
+    seen = {"capped": 0, "empty": 0, "multi_witness": 0, "unrestricted": 0}
+    for i in range(200):
+        spec = tie_heavy_spec(
+            rng, lambda work: work.file_count**work.node_count <= 20_000, multi=i % 3 == 2
+        )
+        work = gp.expand_multifile(spec).network
+        modes = ["admissible_only"]
+        if work.file_count**work.node_count <= 2_500:
+            modes.append("unrestricted")
+            seen["unrestricted"] += 1
+        for mode in modes:
+            expected = product_oracle(spec, mode, caps)
+            for cap, want in zip(caps, expected):
+                got = gp.brute_force_placement(spec, mode, witness_cap=cap)
+                assert got == want, (i, mode, cap)
+            seen["capped"] += expected[0].witnesses_capped
+            seen["empty"] += expected[0].best_value is None
+            seen["multi_witness"] += len(expected[-1].witnesses) > 1
+    assert seen["unrestricted"] >= 140
+    assert min(seen.values()) >= 20, seen
+
+
+def geometric_spec(rng, n, k):
+    """Nodes at random points of a 100 x 100 square, RTT the rounded
+    Euclidean distance, demand weights 1 to 20."""
+    points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+    rtt = [[round(math.dist(p, q)) for q in points] for p in points]
+    weights = [[rng.randint(1, 20) for _ in range(k)] for _ in range(n)]
+    total = sum(map(sum, weights))
+    demands = [[F(w, total) for w in row] for row in weights]
+    return gp.make_spec([f"g{i}" for i in range(n)], rtt, demands, k)
+
+
+def test_planner_equals_oracle_on_larger_geometric_networks():
+    """Two networks of each size from 16 to 20 nodes at k = 2, and six
+    14-node networks at k = 3 (3^14 placements), at least three of them
+    feasible: the plan's value is the oracle minimum, and the plan is
+    its first witness."""
+    rng = random.Random(29)
+    specs = [geometric_spec(rng, n, 2) for n in range(16, 21) for _ in range(2)]
+    specs += [geometric_spec(rng, 14, 3) for _ in range(6)]
+    feasible = 0
+    for spec in specs:
+        report = gp.plan(spec)
+        oracle = gp.brute_force_placement(spec)
+        if isinstance(report, gp.InfeasiblePlan):
+            assert oracle.best_value is None
+            continue
+        feasible += 1
+        assert report.value == oracle.best_value
+        assert report.placement == oracle.witnesses[0]
+    assert feasible >= 13
+
+
+def test_oracle_rescores_each_reported_witness_once_on_the_given_spec(monkeypatch, ex1):
+    # a capacity-2 node's two slots can swap files, so a reported
+    # witness stands for up to four raw placements of the search
+    spec = gp.make_spec(ex1.node_ids, ex1.rtt, ex1.demands, 3, capacities=(2, 2, 1, 1))
+    calls = []
+    real = gp.oracle.eval_uncoded
+
+    def counted(network, placement):
+        calls.append((network, placement))
+        return real(network, placement)
+
+    monkeypatch.setattr(gp.oracle, "eval_uncoded", counted)
+    res = gp.brute_force_placement(spec)
+    assert len(res.witnesses) > 1
+    assert [placement for _, placement in calls] == list(res.witnesses)
+    assert all(network is spec for network, _ in calls)
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    """One slot per level: 150 slots under a recursion limit 40 frames
+    above the caller."""
+    n = 150
+    rtt = [[abs(u - v) for v in range(n)] for u in range(n)]
+    spec = gp.make_spec([f"p{i}" for i in range(n)], rtt, [[F(1, n)]] * n, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        res = gp.brute_force_placement(spec, mode="unrestricted")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.best_value, res.search_space, res.scored) == (0, 1, 1)
