@@ -10,7 +10,7 @@ Exit codes (stable):
   2  usage error
   3  network validation failed
   4  infeasible (no admissible placement exists / oracle found none)
-  5  oracle enumeration budget or plan's MAX_TABLE_ROWS exceeded
+  5  oracle enumeration budget, plan's MAX_TABLE_ROWS or MAX_EXPANDED_SLOTS exceeded
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ EXIT_INVALID = 3
 EXIT_INFEASIBLE = 4
 EXIT_BUDGET = 5
 
+#: triangle breaches listed one by one on stderr and in the validation
+#: report; the rest are only counted, so output stays bounded
+TRIANGLE_WITNESSES = 5
+
 
 def _fmt(x) -> str:
     return f"{frac_str(x)} ({frac_decimal(x)})"
@@ -67,21 +71,42 @@ def _load(args) -> NetworkSpec:
     return load_spec(args.spec, rtt_csv=args.rtt_csv, demands_csv=args.demands_csv)
 
 
-def _print_violations(result) -> None:
+def _bounded(result) -> tuple[list, int]:
+    """Every violation but the triangle breaches past the first
+    ``TRIANGLE_WITNESSES``, in order, and the exact breach count."""
+    shown, breaches = [], 0
     for v in result.violations:
+        if v.kind == "triangle":
+            breaches += 1
+            if breaches > TRIANGLE_WITNESSES:
+                continue
+        shown.append(v)
+    return shown, breaches
+
+
+def _print_violations(shown, breaches: int) -> None:
+    for v in shown:
         print(f"{v.severity}: [{v.kind}] {v.message}", file=sys.stderr)
+    if breaches > TRIANGLE_WITNESSES:
+        print(
+            f"note: {breaches - TRIANGLE_WITNESSES} more triangle inequality "
+            f"breaches not shown, {breaches} in all",
+            file=sys.stderr,
+        )
 
 
 def cmd_validate(args) -> int:
     spec = _load(args)
     result = validate_spec(spec, strict=args.strict)
-    _print_violations(result)
+    shown, breaches = _bounded(result)
+    _print_violations(shown, breaches)
     payload = {
         "schema": "validation/1",
         "ok": result.ok,
+        "triangle_breaches": breaches,
         "violations": [
             {"kind": v.kind, "severity": v.severity, "message": v.message}
-            for v in result.violations
+            for v in shown
         ],
     }
     _emit(payload, args.out)
@@ -161,6 +186,7 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = _load(args)
+    require_valid(spec, strict=args.strict)
     mode = "admissible_only" if args.mode == "admissible" else "unrestricted"
     result = brute_force_placement(spec, mode=mode, budget=args.budget)
     payload = result.to_dict()
@@ -281,7 +307,7 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except InvalidSpecError as exc:
         if exc.result is not None:
-            _print_violations(exc.result)
+            _print_violations(*_bounded(exc.result))
         else:
             print(f"invalid network: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -13,6 +13,14 @@ inherit cross-node times unchanged, and split their node's demand row
 evenly across themselves.  Downstream planning and evaluation then only
 ever deal with unit-capacity networks and project results back through
 the provenance map.
+
+Validation has two depths.  ``validate_spec`` runs every check,
+including the O(n^3) triangle-inequality scan, whose breaches are
+warnings unless ``strict``.  The planner, evaluator and oracle need only
+the order of round-trip times, so non-strict ``require_valid`` (cached
+as ``NetworkSpec.validation``) runs the O(n^2) structural checks alone:
+node ids and capacities, the RTT matrix's shape, diagonal, sign and
+symmetry, and the demand matrix's shape, sign and sum.
 """
 
 from __future__ import annotations
@@ -25,11 +33,16 @@ from functools import cached_property
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
 from .rational import common_denominator, frac_str, scale_matrix, to_fraction
 
 #: Ingestion tolerance for the global demand mass check.
 DEMAND_SUM_TOLERANCE = Fraction(1, 10**9)
+
+#: Most unit slots a capacity expansion may create.  Its RTT matrix has
+#: slots^2 cells, so one large capacity in a few bytes of input would
+#: otherwise exhaust memory.
+MAX_EXPANDED_SLOTS = 1024
 
 
 @dataclass(frozen=True)
@@ -124,9 +137,11 @@ class NetworkSpec:
 
     @cached_property
     def validation(self) -> ValidationResult:
-        """``validate_spec(self)``, triangle breaches as warnings.
-        Computed once per spec object; ``require_valid`` reads it."""
-        return validate_spec(self)
+        """``validate_spec(self)`` without the O(n^3) triangle scan: the
+        node, RTT and demand checks, which are all that can make a spec
+        invalid without ``strict``.  Computed once per spec object;
+        non-strict ``require_valid`` reads it."""
+        return ValidationResult((*_structure_checks(self), *_demand_checks(self)))
 
     @cached_property
     def _expansion(self) -> ExpandedSpec:
@@ -221,12 +236,44 @@ class ValidationResult:
 
 
 def validate_spec(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
-    """Check a network description against all structural invariants.
+    """Check a network description against every invariant, triangle
+    inequality included.
 
     Round-trip-time triangle breaches are reported as warnings by
     default because measured wide-area RTTs routinely violate the
-    triangle inequality; ``strict=True`` turns them into errors.
+    triangle inequality; ``strict=True`` turns them into errors.  The
+    violations come in a fixed order: node and RTT checks, triangle
+    breaches, demand checks.
     """
+    breaches = _triangle_breaches(spec, "error" if strict else "warning")
+    return ValidationResult((*_structure_checks(spec), *breaches, *_demand_checks(spec)))
+
+
+def require_valid(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
+    """Validate and raise InvalidSpecError on any error-grade violation.
+
+    Non-strict, this returns the cached ``spec.validation``: the O(n^2)
+    structural checks only.  Planning and evaluation need the order of
+    round-trip times, not the triangle inequality, and a breach is only
+    ever a warning there, so the O(n^3) triangle scan is left to
+    ``validate_spec``.  ``strict=True`` runs ``validate_spec(spec,
+    strict=True)`` afresh, so a breach refuses the spec.
+    """
+    result = validate_spec(spec, strict=True) if strict else spec.validation
+    if not result.ok:
+        lines = "; ".join(v.message for v in result.errors)
+        raise InvalidSpecError(f"invalid network: {lines}", result)
+    return result
+
+
+def _rtt_is_square(spec: NetworkSpec) -> bool:
+    n = spec.node_count
+    return len(spec.rtt) == n and all(len(row) == n for row in spec.rtt)
+
+
+def _structure_checks(spec: NetworkSpec) -> list[Violation]:
+    """Node count, ids and capacities, then the RTT matrix's shape,
+    diagonal, sign and symmetry."""
     out: list[Violation] = []
     n = spec.node_count
     k = spec.file_count
@@ -258,91 +305,98 @@ def validate_spec(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
                 f"total storage {total_slots} cannot hold {k} distinct files",
             )
 
-    shape_ok = len(spec.rtt) == n and all(len(row) == n for row in spec.rtt)
-    if not shape_ok:
+    if not _rtt_is_square(spec):
         err("rtt-shape", f"rtt matrix must be {n}x{n}")
-    else:
-        rtt = spec.rtt_scaled
-        for u in range(n):
-            if rtt[u][u] != 0:
+        return out
+    rtt = spec.rtt_scaled
+    for u in range(n):
+        if rtt[u][u] != 0:
+            err(
+                "rtt-diagonal",
+                f"rtt from {spec.node_ids[u]} to itself must be 0",
+                (u,),
+            )
+        for v in range(u + 1, n):
+            if rtt[u][v] < 0:
                 err(
-                    "rtt-diagonal",
-                    f"rtt from {spec.node_ids[u]} to itself must be 0",
-                    (u,),
+                    "rtt-negative",
+                    f"negative rtt between {spec.node_ids[u]} and {spec.node_ids[v]}",
+                    (u, v),
                 )
-            for v in range(u + 1, n):
-                if rtt[u][v] < 0:
-                    err(
-                        "rtt-negative",
-                        f"negative rtt between {spec.node_ids[u]} and {spec.node_ids[v]}",
-                        (u, v),
-                    )
-                if rtt[u][v] != rtt[v][u]:
-                    err(
-                        "rtt-asymmetric",
-                        f"asymmetric rtt between {spec.node_ids[u]} and {spec.node_ids[v]}",
-                        (u, v),
-                    )
-        severity = "error" if strict else "warning"
-        columns = tuple(zip(*rtt))
-        for u in range(n):
-            ru = rtt[u]
-            for v in range(u + 1, n):
-                cv = columns[v]
-                # at most every two-hop time (w = u and w = v included):
-                # no breach, so skip the exact per-w scan
-                if ru[v] <= min(map(add, ru, cv)):
-                    continue
-                for w in range(n):
-                    if w in (u, v):
-                        continue
-                    if ru[v] > ru[w] + cv[w]:
-                        out.append(
-                            Violation(
-                                "triangle",
-                                "triangle inequality breach: "
-                                f"rtt({spec.node_ids[u]},{spec.node_ids[v]}) > "
-                                f"rtt({spec.node_ids[u]},{spec.node_ids[w]}) + "
-                                f"rtt({spec.node_ids[w]},{spec.node_ids[v]})",
-                                severity,
-                                (u, w, v),
-                            )
-                        )
+            if rtt[u][v] != rtt[v][u]:
+                err(
+                    "rtt-asymmetric",
+                    f"asymmetric rtt between {spec.node_ids[u]} and {spec.node_ids[v]}",
+                    (u, v),
+                )
+    return out
 
-    demand_shape_ok = len(spec.demands) == n and all(len(row) == k for row in spec.demands)
-    if not demand_shape_ok:
-        err("demand-shape", f"demand matrix must be {n}x{k}")
-    else:
-        demands = spec.demands_scaled
-        negative = False
-        for v in range(n):
-            for j in range(k):
-                if demands[v][j] < 0:
-                    err(
+
+def _triangle_breaches(spec: NetworkSpec, severity: str) -> list[Violation]:
+    """Every (u, w, v) with u < v and rtt(u,v) > rtt(u,w) + rtt(w,v), in
+    (u, v, w) order: the O(n^3) scan.  Empty for a non-square matrix."""
+    if not _rtt_is_square(spec):
+        return []
+    out: list[Violation] = []
+    n = spec.node_count
+    rtt = spec.rtt_scaled
+    columns = tuple(zip(*rtt))
+    for u in range(n):
+        ru = rtt[u]
+        for v in range(u + 1, n):
+            cv = columns[v]
+            # at most every two-hop time (w = u and w = v included):
+            # no breach, so skip the exact per-w scan
+            if ru[v] <= min(map(add, ru, cv)):
+                continue
+            for w in range(n):
+                if w in (u, v):
+                    continue
+                if ru[v] > ru[w] + cv[w]:
+                    out.append(
+                        Violation(
+                            "triangle",
+                            "triangle inequality breach: "
+                            f"rtt({spec.node_ids[u]},{spec.node_ids[v]}) > "
+                            f"rtt({spec.node_ids[u]},{spec.node_ids[w]}) + "
+                            f"rtt({spec.node_ids[w]},{spec.node_ids[v]})",
+                            severity,
+                            (u, w, v),
+                        )
+                    )
+    return out
+
+
+def _demand_checks(spec: NetworkSpec) -> list[Violation]:
+    """The demand matrix's shape, sign and total mass."""
+    n = spec.node_count
+    k = spec.file_count
+    if not (len(spec.demands) == n and all(len(row) == k for row in spec.demands)):
+        return [Violation("demand-shape", f"demand matrix must be {n}x{k}", "error")]
+    out: list[Violation] = []
+    demands = spec.demands_scaled
+    for v in range(n):
+        for j in range(k):
+            if demands[v][j] < 0:
+                out.append(
+                    Violation(
                         "demand-negative",
                         f"negative demand at node {spec.node_ids[v]}, file {j + 1}",
+                        "error",
                         (v, j),
                     )
-                    negative = True
-        if not negative:
-            total = Fraction(sum(map(sum, demands)), spec.demand_scale)
-            if abs(total - 1) > DEMAND_SUM_TOLERANCE:
-                err(
+                )
+    if not out:
+        total = Fraction(sum(map(sum, demands)), spec.demand_scale)
+        if abs(total - 1) > DEMAND_SUM_TOLERANCE:
+            out.append(
+                Violation(
                     "demand-sum",
                     f"demand probabilities sum to {frac_str(total)}, expected 1",
+                    "error",
                 )
-
-    return ValidationResult(tuple(out))
-
-
-def require_valid(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
-    """Validate and raise InvalidSpecError on any error-grade violation.
-    The non-strict result is the one cached on the spec."""
-    result = validate_spec(spec, strict=True) if strict else spec.validation
-    if not result.ok:
-        lines = "; ".join(v.message for v in result.errors)
-        raise InvalidSpecError(f"invalid network: {lines}", result)
-    return result
+            )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +477,8 @@ def expand_multifile(spec: NetworkSpec) -> ExpandedSpec:
     expansion (``network is spec``), so its cached integer scales are
     computed once; that assumes the zero diagonal every caller has
     already validated.  Any other expansion is built once per spec
-    object.  The trivial one is built afresh: cached on the spec, it
+    object, and raises ``BudgetExceededError`` past
+    ``MAX_EXPANDED_SLOTS`` slots.  The trivial one is built afresh: cached on the spec, it
     would hold the spec in a reference cycle.
     """
     n = spec.node_count
@@ -438,6 +493,11 @@ def expand_multifile(spec: NetworkSpec) -> ExpandedSpec:
 
 def _split_capacities(spec: NetworkSpec) -> ExpandedSpec:
     n = spec.node_count
+    if sum(spec.capacities) > MAX_EXPANDED_SLOTS:
+        raise BudgetExceededError(
+            f"{sum(spec.capacities)} storage slots exceed the expansion budget "
+            f"of {MAX_EXPANDED_SLOTS}"
+        )
     existing = set(spec.node_ids)
     sub_ids: list[str] = []
     provenance: list[tuple[int, int]] = []

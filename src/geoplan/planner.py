@@ -17,7 +17,9 @@ must reproduce the elimination's cost and files.
 
 Every returned plan is double-checked against the direct evaluator: the
 assignment-side average must equal the nearest-holder average, and each
-node's worst case must sit on its floor.
+node's worst case must sit on its floor.  A multi-capacity plan is also
+evaluated on the network as given, where its average must not move; a
+unit-capacity network is its own expansion, so it is evaluated once.
 """
 
 from __future__ import annotations
@@ -229,12 +231,15 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
     if not work_report.meets_bounds():
         raise AuditError("admissible placement misses a worst-case floor")
 
-    placement = expanded.project_placement(expanded_placement)
-    report = eval_uncoded(spec, placement)
-    if report.average != work_report.average:
-        raise AuditError(
-            f"projected average {report.average} != expanded average {work_report.average}"
-        )
+    if work is spec:  # unit capacities: the expansion is the identity
+        placement, report = expanded_placement, work_report
+    else:
+        placement = expanded.project_placement(expanded_placement)
+        report = eval_uncoded(spec, placement)
+        if report.average != work_report.average:
+            raise AuditError(
+                f"projected average {report.average} != expanded average {work_report.average}"
+            )
 
     return PlanReport(
         placement=placement,

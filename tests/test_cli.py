@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import geoplan as gp
+from conftest import random_spec
 from geoplan import cli
 
 F = Fraction
@@ -42,6 +44,7 @@ def test_validate_ok(capsys):
     payload = json.loads(out.out[: out.out.rindex("ok:")])
     assert payload["schema"] == "validation/1"
     assert payload["ok"] is True
+    assert payload["triangle_breaches"] == 1
     assert [v["kind"] for v in payload["violations"]] == ["triangle"]
 
 
@@ -366,6 +369,17 @@ def test_zero_denominator_exits_1(tmp_path, capsys, where, command):
     assert "Traceback" not in err
 
 
+def test_capacity_past_the_expansion_budget_exits_5(tmp_path, capsys):
+    data = json.loads(Path(EX1).read_text())
+    data["nodes"][0]["capacity"] = "1e400"  # a few bytes asking for 10^400 slots
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    for command in ("plan", "oracle", "expand", "export"):
+        assert cli.main([command, "--spec", str(path), "--out", str(tmp_path / "out")]) == 5
+        assert "expansion budget of 1024" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_integral_decimal_counts_are_accepted(tmp_path, capsys):
     data = {
         "files": 2.0,
@@ -426,3 +440,124 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "average latency: 13/10" in proc.stdout
+
+
+# --- the solve commands skip the triangle scan ----------------------------
+
+
+@pytest.fixture(params=["ex1", "breachy-30"])
+def solve_case(request, tmp_path):
+    """A network file with triangle breaches (ex1 has one; 30 random
+    distances have about 2,200), and each solve command's arguments."""
+    if request.param == "ex1":
+        spec_path = EX1
+        spec = gp.example_instance()
+    else:
+        spec = random_spec(random.Random(0), n=30, k=2)
+        spec_path = str(tmp_path / "breachy.json")
+        gp.save_spec(spec, spec_path)
+    assert any(v.kind == "triangle" for v in gp.validate_spec(spec).violations)
+    placement = tmp_path / "placement.json"
+    placement.write_text(json.dumps(gp.plan(spec).to_dict()))
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(gp.mds_code(spec.node_count, spec.file_count).to_dict()))
+    commands = [
+        ["plan"],
+        ["eval", "--placement", str(placement)],
+        ["eval", "--code", str(code)],
+        ["oracle", "--budget", str(2**30)],
+        ["expand"],
+        ["export"],
+    ]
+    return spec_path, commands
+
+
+def run_cli(argv, capsys, out_dir):
+    """Exit code, stdout, stderr and every file written under ``out_dir``."""
+    out_dir.mkdir(exist_ok=True)
+    code = cli.main([*argv, "--out", str(out_dir / "report")])
+    captured = capsys.readouterr()
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        files[path.name] = path.read_text()
+        path.unlink()
+    return code, captured.out, captured.err, files
+
+
+def no_triangle_scan(*args):
+    raise AssertionError("the triangle scan ran on a non-strict solve path")
+
+
+def test_solve_commands_skip_the_triangle_scan(solve_case, tmp_path, capsys, monkeypatch):
+    spec_path, commands = solve_case
+    out_dir = tmp_path / "out"
+    before = [run_cli([c[0], "--spec", spec_path, *c[1:]], capsys, out_dir) for c in commands]
+    monkeypatch.setattr(gp.model, "_triangle_breaches", no_triangle_scan)
+    after = [run_cli([c[0], "--spec", spec_path, *c[1:]], capsys, out_dir) for c in commands]
+    assert [r[0] for r in after] == [0] * len(commands)
+    assert after == before
+    assert all(err == "" for _, _, err, _ in after)
+
+
+def test_verify_plan_skips_the_triangle_scan(monkeypatch):
+    specs = [gp.example_instance(), random_spec(random.Random(0), n=30, k=2)]
+    verdicts = [
+        gp.verify_plan(spec, gp.plan(spec), budget=2**30).to_dict() for spec in specs
+    ]
+    monkeypatch.setattr(gp.model, "_triangle_breaches", no_triangle_scan)
+    fresh = [gp.make_spec(s.node_ids, s.rtt, s.demands, s.file_count) for s in specs]
+    assert [
+        gp.verify_plan(spec, gp.plan(spec), budget=2**30).to_dict() for spec in fresh
+    ] == verdicts
+    assert all(v["status"] == "verified" for v in verdicts)
+
+
+def test_strict_solve_commands_refuse_a_breach(solve_case, tmp_path, capsys):
+    spec_path, commands = solve_case
+    for c in commands:
+        code, out, err, files = run_cli(
+            [c[0], "--spec", spec_path, *c[1:], "--strict"], capsys, tmp_path / "out"
+        )
+        assert code == 3, c
+        assert (out, files) == ("", {}), c
+        lines = err.splitlines()
+        triangles = [line for line in lines if line.startswith("error: [triangle]")]
+        assert 1 <= len(triangles) <= cli.TRIANGLE_WITNESSES, c
+        if spec_path != EX1:
+            assert lines[-1].startswith("note: ") and "triangle inequality breaches" in lines[-1]
+
+
+def test_invalid_spec_refuses_without_triangle_lines(tmp_path, capsys):
+    data = json.loads(Path(EX1).read_text())
+    data["nodes"][0]["demands"][0] = 0.3  # the demands now sum to 11/10
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(data))
+    for command in ("plan", "oracle", "expand"):
+        assert cli.main([command, "--spec", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "error: [demand-sum]" in err
+        assert "triangle" not in err
+
+
+def test_validate_bounds_triangle_output(tmp_path, capsys):
+    spec = random_spec(random.Random(0), n=30, k=2)
+    path = tmp_path / "breachy.json"
+    gp.save_spec(spec, str(path))
+    for strict in (False, True):
+        full = gp.validate_spec(spec, strict=strict).violations
+        breaches = [v for v in full if v.kind == "triangle"]
+        assert len(breaches) > cli.TRIANGLE_WITNESSES
+        out_file = tmp_path / "validation.json"
+        argv = ["validate", "--spec", str(path), "--out", str(out_file)]
+        assert cli.main(argv + ["--strict"] * strict) == (3 if strict else 0)
+        err = capsys.readouterr().err.splitlines()
+        payload = json.loads(out_file.read_text())
+        assert payload["triangle_breaches"] == len(breaches)
+        shown = breaches[: cli.TRIANGLE_WITNESSES]
+        assert payload["violations"] == [
+            {"kind": v.kind, "severity": v.severity, "message": v.message} for v in shown
+        ]
+        assert err == [f"{v.severity}: [triangle] {v.message}" for v in shown] + [
+            f"note: {len(breaches) - cli.TRIANGLE_WITNESSES} more triangle inequality "
+            f"breaches not shown, {len(breaches)} in all"
+        ]

@@ -44,20 +44,20 @@ def test_require_valid_carries_result():
 
 def test_validation_and_expansion_are_computed_once_per_spec(ex1, monkeypatch):
     calls = []
-    real = gp.model.validate_spec
+    real = gp.model._structure_checks
 
-    def counted(spec, strict=False):
-        calls.append(strict)
-        return real(spec, strict=strict)
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
 
-    monkeypatch.setattr(gp.model, "validate_spec", counted)
+    monkeypatch.setattr(gp.model, "_structure_checks", counted)
     spec = gp.make_spec(ex1.node_ids, ex1.rtt, ex1.demands, 3, capacities=(2, 1, 1, 1))
     assert gp.require_valid(spec) is gp.require_valid(spec)
-    assert calls == [False]
+    assert calls == [spec]
     # strict runs afresh: its triangle breach is an error
     with pytest.raises(gp.InvalidSpecError):
         gp.require_valid(spec, strict=True)
-    assert calls == [False, True]
+    assert calls == [spec, spec]
     assert gp.expand_multifile(spec) is gp.expand_multifile(spec)
 
 
