@@ -26,7 +26,7 @@ from .coloring import Coloring
 from .errors import InvalidInputError, InvalidSpecError
 from .model import NetworkSpec
 from .nngraph import NearestNeighborGraph
-from .rational import common_denominator, frac_str, scale_matrix, to_fraction, unscale_matrix
+from .rational import frac_str, scaled_rows, unscale_matrix
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,7 @@ def _as_rows(cost) -> tuple[tuple[tuple[int, ...], ...], int]:
     if isinstance(cost, ColorCostMatrix):
         rows, scale = cost.scaled, cost.scale
     else:
-        exact = [[to_fraction(x) for x in row] for row in cost]
-        scale = common_denominator(exact)
-        rows = scale_matrix(exact, scale)
+        rows, scale = scaled_rows(cost)
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise InvalidInputError("cost matrix must be square and non-empty")

@@ -16,6 +16,7 @@ Exit codes (stable):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -244,7 +245,9 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: building costs more than a small run."""
     parser = argparse.ArgumentParser(
         prog="geoplan",
         description="Latency-optimal file placement for geo-distributed storage.",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
@@ -98,22 +99,19 @@ def _finish_report(spec: NetworkSpec, servers) -> LatencyReport:
     """Report the fetches where ``servers[v][j]`` is the node whose
     distance sets node v's latency for file j.
 
-    The average is one integer sum over ``spec.cost_scale``.
+    The average is one integer sum over ``spec.cost_scale``; a
+    ``Fraction`` is built once per distinct reported latency.
     """
-    total = 0
-    latencies = []
-    worst = []
-    for u_of, row, dist, weights in zip(
-        servers, spec.rtt, spec.rtt_scaled, spec.demands_scaled
-    ):
-        total += sum(dist[u] * p for u, p in zip(u_of, weights))
-        latencies.append(tuple(row[u] for u in u_of))
-        worst.append(row[max(u_of, key=dist.__getitem__)])
+    fetch = [[dist[u] for u in u_of] for u_of, dist in zip(servers, spec.rtt_scaled)]
+    total = sum(
+        t * p for row, weights in zip(fetch, spec.demands_scaled) for t, p in zip(row, weights)
+    )
+    exact = {t: Fraction(t, spec.rtt_scale) for t in set(chain.from_iterable(fetch))}
     return LatencyReport(
         node_ids=spec.node_ids,
         file_count=spec.file_count,
-        latencies=tuple(latencies),
-        worst_case=tuple(worst),
+        latencies=tuple(tuple(map(exact.__getitem__, row)) for row in fetch),
+        worst_case=tuple(exact[max(row)] for row in fetch),
         wc_bounds=spec.wc_bounds,
         average=Fraction(total, spec.cost_scale),
     )

@@ -7,6 +7,10 @@ the probability that the next request system-wide originates at node v
 and asks for file j, so the demand matrix sums to one over the whole
 network, not per row.
 
+Each matrix is held once, as exact integers over the least common
+multiple of its denominators, so equal networks are equal specs; its
+``Fraction`` view is built only when something reports it.
+
 Nodes with capacity above one are reduced to unit-capacity sub-nodes:
 the sub-nodes of one node sit at round-trip time zero from each other,
 inherit cross-node times unchanged, and split their node's demand row
@@ -30,11 +34,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
-from .rational import common_denominator, frac_str, scale_matrix, to_fraction
+from .rational import frac_str, scaled_rows, to_fraction, unscale_matrix
 
 #: Ingestion tolerance for the global demand mass check.
 DEMAND_SUM_TOLERANCE = Fraction(1, 10**9)
@@ -47,12 +53,20 @@ MAX_EXPANDED_SLOTS = 1024
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Immutable description of a storage network."""
+    """Immutable description of a storage network, built by ``make_spec``.
+
+    ``rtt_scaled[u][v] / rtt_scale`` is the round-trip time from u to v
+    and ``demands_scaled[v][j] / demand_scale`` node v's demand for file
+    j; each scale is the lcm of its matrix's denominators.  Each
+    (rows, scale) field pair is what ``rational.scaled_rows`` returns.
+    """
 
     node_ids: tuple[str, ...]
     capacities: tuple[int, ...]
-    rtt: tuple[tuple[Fraction, ...], ...]
-    demands: tuple[tuple[Fraction, ...], ...]
+    rtt_scaled: tuple[tuple[int, ...], ...]
+    rtt_scale: int
+    demands_scaled: tuple[tuple[int, ...], ...]
+    demand_scale: int
     file_count: int
 
     @property
@@ -64,31 +78,14 @@ class NetworkSpec:
         return all(c == 1 for c in self.capacities)
 
     @cached_property
-    def rtt_scale(self) -> int:
-        """Least common multiple of the RTT denominators."""
-        return common_denominator(self.rtt)
+    def rtt(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The round-trip times as Fractions, built on first use."""
+        return unscale_matrix(self.rtt_scaled, self.rtt_scale)
 
     @cached_property
-    def rtt_scaled(self) -> tuple[tuple[int, ...], ...]:
-        """The RTT matrix as exact integers: every entry times ``rtt_scale``.
-
-        One positive common scale keeps order and ties exactly those of
-        ``rtt``, so code that only orders or compares round-trip times
-        works on these integers and reports the ``Fraction`` of the same
-        cell.  Computed once per spec object.
-        """
-        return scale_matrix(self.rtt, self.rtt_scale)
-
-    @cached_property
-    def demand_scale(self) -> int:
-        """Least common multiple of the demand denominators."""
-        return common_denominator(self.demands)
-
-    @cached_property
-    def demands_scaled(self) -> tuple[tuple[int, ...], ...]:
-        """The demand matrix as exact integers: every entry times
-        ``demand_scale``.  Computed once per spec object."""
-        return scale_matrix(self.demands, self.demand_scale)
+    def demands(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The demand matrix as Fractions, built on first use."""
+        return unscale_matrix(self.demands_scaled, self.demand_scale)
 
     @property
     def cost_scale(self) -> int:
@@ -128,7 +125,7 @@ class NetworkSpec:
             for u in sorted((u for u in range(n) if u != v), key=dist.__getitem__):
                 got += self.capacities[u]
                 if got >= need:
-                    bound = self.rtt[v][u]
+                    bound = Fraction(dist[u], self.rtt_scale)
                     break
             if bound is None:
                 raise InvalidSpecError("network cannot hold every file once")
@@ -172,18 +169,9 @@ def make_spec(
     file_count: int,
     capacities: Sequence[int] | None = None,
 ) -> NetworkSpec:
-    """Build a NetworkSpec, coercing matrix entries to Fraction and
-    counts to int (InvalidInputError for non-integral counts).  Each
-    distinct string cell is parsed once."""
-    parsed: dict[str, Fraction] = {}
-
-    def cell(x) -> Fraction:
-        if not isinstance(x, str):
-            return to_fraction(x)
-        if x not in parsed:
-            parsed[x] = to_fraction(x)
-        return parsed[x]
-
+    """Build a NetworkSpec: matrix entries are read as exact rationals
+    (see ``rational.scaled_rows``) and counts as ints
+    (InvalidInputError for non-integral counts)."""
     ids = tuple(str(i) for i in node_ids)
     caps = (
         tuple(_count(c, "capacity") for c in capacities)
@@ -191,11 +179,7 @@ def make_spec(
         else (1,) * len(ids)
     )
     return NetworkSpec(
-        node_ids=ids,
-        capacities=caps,
-        rtt=tuple(tuple(map(cell, row)) for row in rtt),
-        demands=tuple(tuple(map(cell, row)) for row in demands),
-        file_count=_count(file_count, "file count"),
+        ids, caps, *scaled_rows(rtt), *scaled_rows(demands), _count(file_count, "file count")
     )
 
 
@@ -268,7 +252,7 @@ def require_valid(spec: NetworkSpec, strict: bool = False) -> ValidationResult:
 
 def _rtt_is_square(spec: NetworkSpec) -> bool:
     n = spec.node_count
-    return len(spec.rtt) == n and all(len(row) == n for row in spec.rtt)
+    return len(spec.rtt_scaled) == n and all(len(row) == n for row in spec.rtt_scaled)
 
 
 def _structure_checks(spec: NetworkSpec) -> list[Violation]:
@@ -371,10 +355,10 @@ def _demand_checks(spec: NetworkSpec) -> list[Violation]:
     """The demand matrix's shape, sign and total mass."""
     n = spec.node_count
     k = spec.file_count
-    if not (len(spec.demands) == n and all(len(row) == k for row in spec.demands)):
+    demands = spec.demands_scaled
+    if not (len(demands) == n and all(len(row) == k for row in demands)):
         return [Violation("demand-shape", f"demand matrix must be {n}x{k}", "error")]
     out: list[Violation] = []
-    demands = spec.demands_scaled
     for v in range(n):
         for j in range(k):
             if demands[v][j] < 0:
@@ -473,13 +457,14 @@ def expand_multifile(spec: NetworkSpec) -> ExpandedSpec:
     Sub-nodes of the same parent are at round-trip time zero from each
     other, keep cross-node times, and each carries 1/M of the parent's
     demand row.  Capacity-1 nodes keep their id; sub-node ids are
-    formed as ``"<id>#<slot>"``.  A unit-capacity network is its own
-    expansion (``network is spec``), so its cached integer scales are
-    computed once; that assumes the zero diagonal every caller has
-    already validated.  Any other expansion is built once per spec
-    object, and raises ``BudgetExceededError`` past
-    ``MAX_EXPANDED_SLOTS`` slots.  The trivial one is built afresh: cached on the spec, it
-    would hold the spec in a reference cycle.
+    formed as ``"<id>#<slot>"``.
+
+    A unit-capacity network is its own expansion (``network is
+    spec``); that assumes the zero diagonal every caller has already
+    validated.  Its ``ExpandedSpec`` is built afresh on each call:
+    cached on the spec, it would hold the spec in a reference cycle.
+    Any other expansion is built once per spec object, and raises
+    ``BudgetExceededError`` past ``MAX_EXPANDED_SLOTS`` slots.
     """
     n = spec.node_count
     if spec.is_unit_capacity:
@@ -519,29 +504,29 @@ def _split_capacities(spec: NetworkSpec) -> ExpandedSpec:
             provenance.append((v, slot))
         groups.append(tuple(members))
 
-    total = len(sub_ids)
-    zero = Fraction(0)
-    rtt = [[zero] * total for _ in range(total)]
-    for i in range(total):
-        vi = provenance[i][0]
-        for j in range(total):
-            vj = provenance[j][0]
-            rtt[i][j] = zero if vi == vj else spec.rtt[vi][vj]
-
-    demands = []
-    for i in range(total):
-        v = provenance[i][0]
-        share = Fraction(1, spec.capacities[v])
-        demands.append(tuple(p * share for p in spec.demands[v]))
-
+    owners = [v for v, _ in provenance]
+    rtt = [tuple(0 if a == b else spec.rtt_scaled[a][b] for b in owners) for a in owners]
+    # a slot of node v carries 1/capacity(v) of v's demand row: exact
+    # integers over the demand scale times the lcm of the capacities
+    split = lcm(*(spec.capacities[a] for a in owners))
+    demands = [
+        tuple(p * (split // spec.capacities[a]) for p in spec.demands_scaled[a]) for a in owners
+    ]
     network = NetworkSpec(
-        node_ids=tuple(sub_ids),
-        capacities=(1,) * total,
-        rtt=tuple(tuple(row) for row in rtt),
-        demands=tuple(demands),
-        file_count=spec.file_count,
+        tuple(sub_ids),
+        (1,) * len(sub_ids),
+        *_lowest_terms(rtt, spec.rtt_scale),
+        *_lowest_terms(demands, spec.demand_scale * split),
+        spec.file_count,
     )
     return ExpandedSpec(network=network, provenance=tuple(provenance), groups=tuple(groups))
+
+
+def _lowest_terms(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows over ``scale`` rescaled to the lcm of their
+    denominators, the scale ``make_spec`` would give the same values."""
+    g = gcd(scale, *chain.from_iterable(rows))
+    return tuple(tuple(x // g for x in row) for row in rows), scale // g
 
 
 # ---------------------------------------------------------------------------
@@ -575,23 +560,15 @@ def load_spec(
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh, parse_float=Fraction)
     spec = spec_from_dict(data)
-    if rtt_csv is not None:
-        spec = NetworkSpec(
-            node_ids=spec.node_ids,
-            capacities=spec.capacities,
-            rtt=load_matrix_csv(rtt_csv),
-            demands=spec.demands,
-            file_count=spec.file_count,
-        )
-    if demands_csv is not None:
-        spec = NetworkSpec(
-            node_ids=spec.node_ids,
-            capacities=spec.capacities,
-            rtt=spec.rtt,
-            demands=load_matrix_csv(demands_csv),
-            file_count=spec.file_count,
-        )
-    return spec
+    if rtt_csv is None and demands_csv is None:
+        return spec
+    return make_spec(
+        spec.node_ids,
+        spec.rtt if rtt_csv is None else load_matrix_csv(rtt_csv),
+        spec.demands if demands_csv is None else load_matrix_csv(demands_csv),
+        spec.file_count,
+        spec.capacities,
+    )
 
 
 def load_matrix_csv(path: str) -> tuple[tuple[Fraction, ...], ...]:

@@ -21,6 +21,7 @@ planner searches for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, prod
 from typing import Callable, NamedTuple, Sequence
@@ -247,7 +248,7 @@ def nng_to_dot(nng: NearestNeighborGraph, spec: NetworkSpec) -> str:
     for node_id in nng.node_ids:
         lines.append(f'  "{node_id}";')
     for s, v in nng.edges():
-        label = frac_str(spec.rtt[s][v])
+        label = frac_str(Fraction(spec.rtt_scaled[s][v], spec.rtt_scale))
         lines.append(f'  "{nng.node_ids[s]}" -> "{nng.node_ids[v]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,11 +11,11 @@ serve) must hold, together with the node, all k files.  The search
 cuts a prefix as soon as it decides a condition: a slot repeats the
 file of a slot it must differ from, or a set that must hold all k
 files (a node with every peer within its (k-1)-th distance, or all
-slots) misses more files than it has slots left.  The budget still refuses on all k^slots placements.
-Scoring runs on the network's cached integer scale
-(``NetworkSpec.cost_scale``), and each distinct reported witness is
-re-scored once by ``eval_uncoded`` on the network as given before it
-leaves.
+slots) misses more files than it has slots left.  The budget still
+refuses on all k^slots placements.  Scoring runs on the network's
+integer scale (``NetworkSpec.cost_scale``), and each distinct reported
+witness is re-scored once by ``eval_uncoded`` on the network as given
+before it leaves.
 """
 
 from __future__ import annotations

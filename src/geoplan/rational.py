@@ -1,9 +1,10 @@
 """Exact rational helpers used throughout the package.
 
-Round-trip times and demand probabilities are read as `Fraction`
-values, so optimizer results, oracle results and report values can be
-compared for exact equality.  The hot paths sum and compare them on
-integers over one cached common scale per network (see
+Round-trip times and demand probabilities are parsed as exact rationals
+and held as integers over one scale per matrix, the least common
+multiple of its denominators (``scaled_rows``), so optimizer results,
+oracle results and report values can be compared for exact equality.
+The hot paths sum and compare those integers (see
 `NetworkSpec.cost_scale`) and build a `Fraction` only where a value is
 reported.  Floats only appear at ingestion and are read through their
 shortest decimal representation.
@@ -47,15 +48,30 @@ def to_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
-def common_denominator(matrix) -> int:
-    """Least common multiple of a Fraction matrix's denominators."""
-    return lcm(*(x.denominator for row in matrix for x in row))
+def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A matrix of rationals as exact integers over one scale.
 
+    Returns ``(rows, scale)``: ``rows[i][j] / scale`` is
+    ``to_fraction(matrix[i][j])``, rows keep their lengths, and
+    ``scale`` is the lcm of the denominators, so equal matrices give
+    equal pairs.  Each distinct string cell is parsed once; any other
+    cell is coerced on its own, since a value-keyed cache would take
+    ``True`` for ``1``.  The first bad cell in row-major order raises.
+    """
+    exact: dict = {}  # a string cell, or a non-string cell's value -> Fraction
 
-def scale_matrix(matrix, scale: int) -> tuple[tuple[int, ...], ...]:
-    """Every entry of a Fraction matrix times ``scale``, a common
-    multiple of its denominators, as exact integers."""
-    return tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in matrix)
+    def key(x):
+        if not isinstance(x, str):
+            x = to_fraction(x)
+            exact[x] = x
+        elif x not in exact:
+            exact[x] = to_fraction(x)
+        return x
+
+    keyed = [tuple(map(key, row)) for row in matrix]
+    scale = lcm(*(f.denominator for f in exact.values()))
+    scaled = {x: f.numerator * (scale // f.denominator) for x, f in exact.items()}
+    return tuple(tuple(map(scaled.__getitem__, row)) for row in keyed), scale
 
 
 def unscale_matrix(rows, scale: int) -> tuple[tuple[Fraction, ...], ...]:

@@ -1,14 +1,16 @@
 """Reference code that exists only to check the production code.
 
-The two assignment solvers work on exact ``Fraction`` entries,
+The two assignment solvers read exact ``Fraction`` entries,
 independent of the integer scale ``geoplan.hungarian_min_assignment``
-runs on, and return the same canonical optimum: the lexicographically
-smallest optimal (class, file) mapping.  The coloring helpers collect
-``geoplan.iter_colorings`` and check partitions; ``receive_side_avg``
-is the receive-side form of the average latency, and ``is_admissible``
-checks a placement against one supply graph.  ``admissible_placements``
-finds the placements that some supply graph admits by enumerating every
-supply graph and every coloring of it.  ``product_oracle`` is the
+runs on (the factorial search sums integers over the matrix's own
+common denominator), and return the same canonical optimum: the
+lexicographically smallest optimal (class, file) mapping.  The
+coloring helpers collect ``geoplan.iter_colorings`` and check
+partitions; ``receive_side_avg`` is the receive-side form of the
+average latency, and ``is_admissible`` checks a placement against one
+supply graph.  ``admissible_placements`` finds the placements that
+some supply graph admits by enumerating every supply graph and every
+coloring of it.  ``product_oracle`` is the
 oracle's exhaustive loop over every one of the k^slots placements,
 kept as the reference its depth-first search must reproduce.
 """
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import permutations, product
+from math import lcm
 from operator import itemgetter, or_
 from typing import Sequence
 
@@ -102,15 +105,18 @@ def brute_force_assignment(cost) -> gp.FileMap:
         raise gp.BudgetExceededError(
             f"brute force over {k}! bijections refused (limit {BRUTE_FORCE_LIMIT})"
         )
+    # every sum exact on integers over the matrix's own common denominator
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
     best: tuple[int, ...] | None = None
-    best_cost: Fraction | None = None
+    best_total: int | None = None
     for perm in permutations(range(k)):
-        total = sum((matrix[r][perm[r]] for r in range(k)), Fraction(0))
-        if best_cost is None or total < best_cost:
-            best_cost = total
+        total = sum(map(list.__getitem__, rows, perm))
+        if best_total is None or total < best_total:
+            best_total = total
             best = perm
-    assert best is not None and best_cost is not None
-    return gp.FileMap(assignment=best, cost=best_cost)
+    assert best is not None and best_total is not None
+    return gp.FileMap(assignment=best, cost=Fraction(best_total, scale))
 
 
 @dataclass(frozen=True)

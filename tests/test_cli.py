@@ -54,6 +54,17 @@ def test_validate_strict_fails(capsys):
     assert "[triangle]" in err
 
 
+def test_one_parser_serves_successive_commands(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(["validate", "--spec", EX1, "--strict"]) == 3
+    first = capsys.readouterr()
+    # --strict does not carry over: a strict plan of EX1 would exit 3
+    assert cli.main(["plan", "--spec", EX1]) == 0
+    second = capsys.readouterr()
+    assert "[triangle]" in first.err and "average latency" not in first.out
+    assert "average latency: 13/10 (1.300000)" in second.out and second.err == ""
+
+
 def test_plan_to_stdout(capsys):
     assert cli.main(["plan", "--spec", EX1]) == 0
     out = capsys.readouterr().out

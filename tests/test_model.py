@@ -5,11 +5,28 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import geoplan as gp
 from conftest import random_spec
+from geoplan.rational import to_fraction
+from test_fuzz import ODD_VALUES
+
+
+def _moderate_number(value) -> bool:
+    try:
+        exact = to_fraction(value)
+    except (TypeError, ValueError):
+        return False
+    return max(exact.numerator.bit_length(), exact.denominator.bit_length()) <= 2048
+
+
+#: the fuzzer's odd values that read as numbers, strings and non-strings,
+#: up to 1e400 in size: with the 1e99999 and 1e-99999 cells every
+#: Fraction in a matrix costs a 660,000-bit gcd, over a minute below
+CORPUS_NUMBERS = [value for value in ODD_VALUES if _moderate_number(value)]
 
 
 def kinds(result):
@@ -118,7 +135,34 @@ def test_counts_must_be_integral():
             gp.make_spec(("X", "Y"), rtt, demands, files, capacities=caps)
 
 
+def test_boolean_cell_after_an_equal_number_is_refused():
+    # a cache keyed by cell value would read True as the 1 parsed before it
+    for one in (1, 1.0, Fraction(1)):
+        data = {
+            "files": 1,
+            "nodes": [{"id": "X", "demands": [1]}, {"id": "Y", "demands": [0]}],
+            "rtt": [[0, one], [True, 0]],
+        }
+        with pytest.raises(gp.InvalidInputError, match="booleans"):
+            gp.spec_from_dict(data)
+        data["rtt"] = [[0, one], [one, 0]]
+        data["nodes"][1]["demands"] = [True]
+        with pytest.raises(gp.InvalidInputError, match="booleans"):
+            gp.spec_from_dict(data)
+
+
 # --- the exact integer RTT view -----------------------------------------
+
+
+def assert_exact(scaled, scale, cells):
+    """``scaled / scale`` is the Fraction matrix ``cells``, and ``scale``
+    is the lcm of its denominators."""
+    assert scale == lcm(*(x.denominator for row in cells for x in row))
+    assert tuple(tuple(Fraction(x, scale) for x in row) for row in scaled) == cells
+
+
+def corpus_matrix(rng, rows, cols):
+    return [[rng.choice(CORPUS_NUMBERS) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_rtt_scaled_is_cached_and_exact():
@@ -134,6 +178,18 @@ def test_rtt_scaled_is_cached_and_exact():
             x, y = spec.rtt[a[0]][a[1]], spec.rtt[b[0]][b[1]]
             sx, sy = spec.rtt_scaled[a[0]][a[1]], spec.rtt_scaled[b[0]][b[1]]
             assert (x < y, x == y) == (sx < sy, sx == sy)
+    # matrices of the fuzzer's numbers: the views are the per-cell parse
+    rng = random.Random(1009)
+    for _ in range(40):
+        n, k = rng.randint(1, 5), rng.randint(1, 3)
+        rtt, demands = corpus_matrix(rng, n, n), corpus_matrix(rng, n, k)
+        spec = gp.make_spec([f"n{i}" for i in range(n)], rtt, demands, k)
+        exact_rtt = tuple(tuple(map(to_fraction, row)) for row in rtt)
+        exact_demands = tuple(tuple(map(to_fraction, row)) for row in demands)
+        assert spec.rtt == exact_rtt and spec.demands == exact_demands
+        assert_exact(spec.rtt_scaled, spec.rtt_scale, exact_rtt)
+        assert_exact(spec.demands_scaled, spec.demand_scale, exact_demands)
+        assert spec == gp.make_spec(spec.node_ids, exact_rtt, exact_demands, k)
 
 
 def reference_rtt_violations(spec, strict):
@@ -254,31 +310,49 @@ def test_expand_of_unit_spec_is_identity(ex1):
     assert expanded.groups == ((0,), (1,), (2,), (3,))
 
 
-def reference_expansion(spec):
-    """Unit-slot network written out from the definition."""
-    ids, rtt, demands, owner = [], [], [], []
+def reference_expansion(spec, rtt, demands):
+    """Ids and Fraction matrices of the unit-slot network, written out
+    from the definition on ``spec``'s Fraction matrices ``rtt`` and
+    ``demands``."""
+    ids, slot_rtt, slot_demands, owner = [], [], [], []
     for v, cap in enumerate(spec.capacities):
         for slot in range(1, cap + 1):
             ids.append(spec.node_ids[v] if cap == 1 else f"{spec.node_ids[v]}#{slot}")
             owner.append(v)
-            demands.append([p / cap for p in spec.demands[v]])
+            slot_demands.append(tuple(p / cap for p in demands[v]))
     for a in owner:
-        rtt.append([0 if a == b else spec.rtt[a][b] for b in owner])
-    return gp.make_spec(ids, rtt, demands, spec.file_count)
+        slot_rtt.append(tuple(Fraction(0) if a == b else rtt[a][b] for b in owner))
+    return ids, tuple(slot_rtt), tuple(slot_demands)
 
 
 def test_multi_capacity_expansion_matches_definition():
     rng = random.Random(67)
-    checked = 0
+    cases = []
     for _ in range(30):
         spec = random_spec(rng, max_nodes=5, max_files=3, multi=True)
+        cases.append((spec, spec.rtt, spec.demands))
+    # non-metric matrices of the fuzzer's numbers, capacities up to 3,
+    # against the per-cell parse of the input
+    for _ in range(30):
+        n, k = rng.randint(1, 5), rng.randint(1, 3)
+        rtt, demands = corpus_matrix(rng, n, n), corpus_matrix(rng, n, k)
+        spec = gp.make_spec([f"n{i}" for i in range(n)], rtt, demands, k,
+                            capacities=[rng.randint(1, 3) for _ in range(n)])
+        cases.append((spec, [list(map(to_fraction, row)) for row in rtt],
+                      [list(map(to_fraction, row)) for row in demands]))
+    checked = 0
+    for spec, rtt, demands in cases:
         if spec.is_unit_capacity:
             continue
         work = gp.expand_multifile(spec).network
         assert work is not spec
-        assert work == reference_expansion(spec)
+        ids, slot_rtt, slot_demands = reference_expansion(spec, rtt, demands)
+        assert work == gp.make_spec(ids, slot_rtt, slot_demands, spec.file_count)
+        assert work.rtt == slot_rtt and work.demands == slot_demands
+        assert_exact(work.rtt_scaled, work.rtt_scale, slot_rtt)
+        assert_exact(work.demands_scaled, work.demand_scale, slot_demands)
         checked += 1
-    assert checked >= 10
+    assert checked >= 30
 
 
 def test_demand_and_cost_scales_are_cached_and_exact():
