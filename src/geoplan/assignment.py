@@ -74,7 +74,7 @@ class FileMap:
 
 @dataclass(frozen=True)
 class TraceStep:
-    kind: str  # "row_reduce" | "column_reduce" | "matching" | "cover" | "adjust"
+    kind: str  # "row_reduce" | "matching" | "cover" | "adjust"
     matrix: tuple[tuple[Fraction, ...], ...] | None = None
     size: int | None = None
     pairs: tuple[tuple[int, int], ...] | None = None
@@ -178,8 +178,11 @@ def _as_rows(cost) -> tuple[tuple[tuple[int, ...], ...], int]:
     return rows, scale
 
 
-def _kuhn_zero_matching(rows: list[list[int]]) -> tuple[list[int], int]:
-    """Maximum matching on zero entries; returns (col -> row, size)."""
+def _kuhn_zero_matching(
+    rows: list[list[int]], start: int = 0, used: frozenset[int] | set[int] = frozenset()
+) -> tuple[list[int], int]:
+    """Maximum matching on the zero entries of rows ``start`` onwards,
+    avoiding the columns in ``used``; returns (col -> row, size)."""
     k = len(rows)
     match_col = [-1] * k
 
@@ -193,8 +196,8 @@ def _kuhn_zero_matching(rows: list[list[int]]) -> tuple[list[int], int]:
         return False
 
     size = 0
-    for r in range(k):
-        if try_row(r, set()):
+    for r in range(start, k):
+        if try_row(r, set(used)):
             size += 1
     return match_col, size
 
@@ -234,31 +237,14 @@ def _lex_min_zero_assignment(rows) -> tuple[int, ...]:
     remainder) yields the canonical optimum.
     """
     k = len(rows)
-    zero_cols = [tuple(c for c in range(k) if rows[r][c] == 0) for r in range(k)]
-
-    def feasible(start: int, used: set[int]) -> bool:
-        match_col: dict[int, int] = {}
-
-        def try_row(r: int, seen: set[int]) -> bool:
-            for c in zero_cols[r]:
-                if c in used or c in seen:
-                    continue
-                seen.add(c)
-                if c not in match_col or try_row(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-            return False
-
-        return all(try_row(r, set()) for r in range(start, k))
-
     used: set[int] = set()
     out: list[int] = []
     for r in range(k):
-        for c in zero_cols[r]:
-            if c in used:
+        for c in range(k):
+            if rows[r][c] != 0 or c in used:
                 continue
             used.add(c)
-            if feasible(r + 1, used):
+            if _kuhn_zero_matching(rows, r + 1, used)[1] == k - 1 - r:
                 out.append(c)
                 break
             used.discard(c)
@@ -268,20 +254,16 @@ def _lex_min_zero_assignment(rows) -> tuple[int, ...]:
 
 
 def hungarian_min_assignment(
-    cost,
-    column_reduce: bool = False,
-    with_trace: bool = False,
+    cost, with_trace: bool = False
 ) -> tuple[FileMap, HungarianTrace | None]:
     """Minimum-cost bijection by the matrix method.
 
-    Negative entries are handled by the initial row reduction.  With
-    ``column_reduce`` a column reduction is applied after the row pass
-    as a shortcut; the default keeps the plain row-reduce, match, cover,
-    adjust cycle so traces show every adjustment.
+    Negative entries are handled by the initial row reduction.  The
+    plain row-reduce, match, cover, adjust cycle runs with no column
+    reduction, so traces show every adjustment.
 
     Args:
         cost: square matrix (ColorCostMatrix or nested sequences).
-        column_reduce: also subtract column minima before matching.
         with_trace: record matrices, covers and adjustment values.
 
     Returns:
@@ -301,15 +283,6 @@ def hungarian_min_assignment(
             work[r] = [x - low for x in work[r]]
     if with_trace:
         steps.append(TraceStep(kind="row_reduce", matrix=snapshot()))
-
-    if column_reduce:
-        for c in range(k):
-            low = min(work[r][c] for r in range(k))
-            if low != 0:
-                for r in range(k):
-                    work[r][c] -= low
-        if with_trace:
-            steps.append(TraceStep(kind="column_reduce", matrix=snapshot()))
 
     while True:
         match_col, size = _kuhn_zero_matching(work)

@@ -232,6 +232,8 @@ def cmd_export(args) -> int:
         written.extend([name, conflict_name])
     for name in written:
         print(f"wrote {name}")
+    if args.all_nngs and enumeration.truncated:
+        print(f"--nng-cap {args.nng_cap} kept {len(graphs)} of {enumeration.total} supply graphs")
     return EXIT_OK
 
 
@@ -287,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--all-nngs", action="store_true",
                    help="one file per supply graph when RTT ties allow several")
-    p.add_argument("--nng-cap", type=int, default=64)
+    p.add_argument("--nng-cap", type=non_negative_int, default=64)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("expand", help="rewrite a capacitated network as unit slots")

@@ -5,10 +5,13 @@ fetch every file it does not hold locally from one of its k-1 closest
 peers.  The directed nearest-neighbor graph records, per node v, an
 in-edge from each of the k-1 nodes with the smallest round-trip time to
 v.  Ties in round-trip time make several such graphs valid.  They are
-the per-node choices ``supplier_tiers`` describes, so the planner
-works from those choices directly; ``enumerate_nngs`` lists the graphs
-themselves (for export), and ``first_supply_graph`` finds the first of
-them that admits a given placement.
+the per-node choices ``supplier_tiers`` describes, the only code here
+that compares round-trip times.  The planner works from those choices
+directly; ``enumerate_nngs`` lists the graphs themselves (for export),
+``build_nng`` returns the first of them, and ``first_supply_graph``
+the first that admits a given placement.  Every tie breaks toward the
+lower node index, as in ``export --all-nngs`` order: ``tied`` peers
+are listed by index and their combinations taken lexicographically.
 
 The undirected extension joins every node to its chosen in-neighbors
 and additionally joins those in-neighbors pairwise, which turns every
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, prod
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidInputError, InvalidSpecError
 from .model import NetworkSpec
@@ -99,32 +102,14 @@ def _check_buildable(spec: NetworkSpec) -> None:
         )
 
 
-def build_nng(
-    spec: NetworkSpec,
-    tie_break: Callable[[str], object] | None = None,
-) -> NearestNeighborGraph:
-    """Build one nearest-neighbor graph, resolving ties deterministically.
+def build_nng(spec: NetworkSpec) -> NearestNeighborGraph:
+    """The first supply graph in ``enumerate_nngs`` order.
 
-    Args:
-        spec: unit-capacity network.
-        tie_break: sort key on node ids applied among equal round-trip
-            times; defaults to lexicographic node id order.
-
-    Returns:
-        The graph whose in-edges to each node come from its k-1 closest
-        peers under the tie rule.
+    Every node takes its forced suppliers plus the ``picks`` lowest-
+    indexed peers tied at its threshold, so round-trip-time ties break
+    toward the lower node index, as everywhere else in the package.
     """
-    _check_buildable(spec)
-    key = tie_break or (lambda node_id: node_id)
-    k = spec.file_count
-    rtt = spec.rtt_scaled
-    chosen: list[tuple[int, ...]] = []
-    for v in range(spec.node_count):
-        order = sorted(
-            (s for s in range(spec.node_count) if s != v),
-            key=lambda s: (rtt[s][v], key(spec.node_ids[s])),
-        )
-        chosen.append(tuple(sorted(order[: k - 1])))
+    chosen = (tuple(sorted(t.forced + t.tied[: t.picks])) for t in supplier_tiers(spec))
     return NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=tuple(chosen))
 
 

@@ -91,17 +91,6 @@ def test_hungarian_golden_trace():
     assert trace.final_matching_size() == 3
 
 
-def test_hungarian_column_reduce_option():
-    file_map, trace = gp.hungarian_min_assignment(
-        GOLDEN, column_reduce=True, with_trace=True
-    )
-    assert file_map.assignment == (2, 1, 0)
-    assert file_map.cost == F(5, 4)
-    assert trace.steps[1].kind == "column_reduce"
-    # the shortcut removes the adjustment round entirely here
-    assert trace.adjustments() == ()
-
-
 def test_tie_break_is_lexicographic():
     tied = (
         (F(1, 10), F(9, 20), F(9, 20)),
@@ -152,17 +141,15 @@ def test_three_solvers_agree_on_random_matrices():
             assert hung.assignment == jv.assignment == ref.assignment
 
 
-def test_solvers_agree_with_column_reduce_and_duplicates():
+def test_solver_agrees_with_factorial_search_on_duplicates():
     rng = random.Random(37)
     for _ in range(25):
         k = rng.randint(2, 6)
         # few distinct values force heavy ties
         cost = [[F(rng.choice((0, 1, 2))) for _ in range(k)] for _ in range(k)]
         plain, _ = gp.hungarian_min_assignment(cost)
-        shortcut, _ = gp.hungarian_min_assignment(cost, column_reduce=True)
         ref = brute_force_assignment(cost)
-        assert plain.cost == shortcut.cost == ref.cost
-        assert plain.assignment == shortcut.assignment == ref.assignment
+        assert (plain.cost, plain.assignment) == (ref.cost, ref.assignment)
 
 
 def test_planner_cost_equals_assignment_on_example(ex1, ex1_nng):

@@ -259,7 +259,7 @@ def test_export_default(tmp_path, capsys):
     assert '"A" -- "C"' not in conflicts
 
 
-def test_export_all_graphs(tmp_path):
+def test_export_all_graphs(tmp_path, capsys):
     spec_file = tmp_path / "tied.json"
     demands = [[F(1, 12)] * 3 for _ in range(4)]
     tied = gp.make_spec(
@@ -278,6 +278,32 @@ def test_export_all_graphs(tmp_path):
         assert Path(f"{prefix}.conflicts-{i:02d}.dot").exists()
     texts = {Path(f"{prefix}.nng-{i:02d}.dot").read_text() for i in range(4)}
     assert len(texts) == 4
+    # the cap cut 81 graphs to 4, and the summary says so
+    out = capsys.readouterr().out
+    assert out.endswith("--nng-cap 4 kept 4 of 81 supply graphs\n")
+    assert cli.main([
+        "export", "--spec", str(spec_file), "--out", prefix, "--all-nngs", "--nng-cap", "81",
+    ]) == 0
+    assert "supply graphs" not in capsys.readouterr().out
+
+
+def test_export_writes_the_first_of_all_graphs(tmp_path):
+    # X is at distance 1 from Z (index 1) and Y (index 2): both exports
+    # pick the lower index, not the lower id
+    third = F(1, 3)
+    spec_file = tmp_path / "xzy.json"
+    gp.save_spec(gp.make_spec(
+        ("X", "Z", "Y"),
+        ((0, 1, 1), (1, 0, 5), (1, 5, 0)),
+        ((third, 0), (third / 2, third / 2), (0, third)),
+        2,
+    ), str(spec_file))
+    prefix = str(tmp_path / "xzy")
+    assert cli.main(["export", "--spec", str(spec_file), "--out", prefix]) == 0
+    assert cli.main(["export", "--spec", str(spec_file), "--out", prefix, "--all-nngs"]) == 0
+    first = Path(f"{prefix}.nng.dot").read_text()
+    assert '"Z" -> "X"' in first
+    assert first == Path(f"{prefix}.nng-00.dot").read_text()
 
 
 def test_expand_command(multi_file, tmp_path, capsys):
@@ -435,6 +461,9 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "--spec", EX1, "--budget", "-1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export", "--spec", EX1, "--all-nngs", "--nng-cap", "-1"])
     assert exc.value.code == 2
     for command in ("plan", "oracle"):  # every supply graph is searched
         with pytest.raises(SystemExit) as exc:

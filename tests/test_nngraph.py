@@ -75,19 +75,19 @@ def test_build_requires_enough_nodes():
         gp.build_nng(spec)
 
 
-def test_tie_break_is_lexicographic():
-    # Z and Y both sit at distance 1 from X; lexicographic order picks Y
+def test_tie_break_is_lower_node_index():
+    # Z (index 1) and Y (index 2) both sit at distance 1 from X; the
+    # lower index wins whatever the ids, as in enumerate_nngs order
     third = Fraction(1, 3)
     spec = gp.make_spec(
-        ("X", "Y", "Z"),
+        ("X", "Z", "Y"),
         ((0, 1, 1), (1, 0, 5), (1, 5, 0)),
-        ((third, 0), (0, third), (third / 2, third / 2)),
+        ((third, 0), (third / 2, third / 2), (0, third)),
         2,
     )
     nng = gp.build_nng(spec)
-    assert nng.in_neighbors[0] == (1,)
-    reverse = gp.build_nng(spec, tie_break=lambda node_id: tuple(-ord(c) for c in node_id))
-    assert reverse.in_neighbors[0] == (2,)
+    assert nng.in_neighbors == ((1,), (0,), (0,))
+    assert nng == gp.enumerate_nngs(spec).graphs[0]
 
 
 def test_enumerate_nngs_without_ties_is_single(ex1):
@@ -211,8 +211,6 @@ def test_exact_ties_in_supply_graphs_and_floors():
     choices = [sorted({g.in_neighbors[v] for g in enum.graphs}) for v in range(5)]
     assert choices == [[(1, 3), (2, 3)], [(0, 4)], [(0, 4), (3, 4)], [(0, 2)], [(1, 2)]]
     assert gp.build_nng(spec).in_neighbors == ((1, 3), (0, 4), (0, 4), (0, 2), (1, 2))
-    reverse = gp.build_nng(spec, tie_break=lambda node_id: -ord(node_id))
-    assert reverse.in_neighbors == ((2, 3), (0, 4), (3, 4), (0, 2), (1, 2))
 
     third = Fraction(1, 3)
     assert gp.wc_lower_bounds(spec) == (third,) * 5
