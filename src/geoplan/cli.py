@@ -10,7 +10,8 @@ Exit codes (stable):
   2  usage error
   3  network validation failed
   4  infeasible (no admissible placement exists / oracle found none)
-  5  oracle enumeration budget, plan's MAX_TABLE_ROWS or MAX_EXPANDED_SLOTS exceeded
+  5  oracle enumeration budget, plan's MAX_TABLE_ROWS or MAX_EXPANDED_SLOTS
+     exceeded, or (every command) a number past rational.MAX_DIGITS digits
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ the probability that the next request system-wide originates at node v
 and asks for file j, so the demand matrix sums to one over the whole
 network, not per row.
 
-Each matrix is held once, as exact integers over the least common
+Each cell is parsed once, to an integer pair (``rational.to_ratio``),
+and each matrix is held once, as exact integers over the least common
 multiple of its denominators, so equal networks are equal specs; its
 ``Fraction`` view is built only when something reports it.
 
@@ -23,24 +24,27 @@ including the O(n^3) triangle-inequality scan, whose breaches are
 warnings unless ``strict``.  The planner, evaluator and oracle need only
 the order of round-trip times, so non-strict ``require_valid`` (cached
 as ``NetworkSpec.validation``) runs the O(n^2) structural checks alone:
-node ids and capacities, the RTT matrix's shape, diagonal, sign and
-symmetry, and the demand matrix's shape, sign and sum.
+node ids and capacities (an id the expansion would reuse included), the
+RTT matrix's shape, diagonal, sign and symmetry, and the demand
+matrix's shape, sign and sum.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import gcd, lcm
+from itertools import accumulate
+from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
-from .rational import frac_str, scaled_rows, to_fraction, unscale_matrix
+from .rational import (
+    MAX_DIGITS, _BOUND, frac_str, lowest_terms, scaled_rows, to_ratio, unscale_matrix,
+)
 
 #: Ingestion tolerance for the global demand mass check.
 DEMAND_SUM_TOLERANCE = Fraction(1, 10**9)
@@ -171,7 +175,8 @@ def make_spec(
 ) -> NetworkSpec:
     """Build a NetworkSpec: matrix entries are read as exact rationals
     (see ``rational.scaled_rows``) and counts as ints
-    (InvalidInputError for non-integral counts)."""
+    (InvalidInputError for non-integral counts, BudgetExceededError for
+    numbers past ``rational.MAX_DIGITS`` digits)."""
     ids = tuple(str(i) for i in node_ids)
     caps = (
         tuple(_count(c, "capacity") for c in capacities)
@@ -184,14 +189,17 @@ def make_spec(
 
 
 def _count(value, what: str) -> int:
-    """An integral count: an int or an integral rational such as 3.0."""
+    """An integral count: an int or an integral rational such as 3.0,
+    of at most ``MAX_DIGITS`` digits (BudgetExceededError past that)."""
     try:
-        exact = to_fraction(value)
+        count, rest = divmod(*to_ratio(value))
     except (TypeError, ValueError):
-        exact = None
-    if exact is None or exact.denominator != 1:
+        rest = 1
+    if rest:
         raise InvalidInputError(f"{what} must be an integer, got {value}")
-    return exact.numerator
+    if abs(count) >= _BOUND:
+        raise BudgetExceededError(f"{what} has more than {MAX_DIGITS} digits")
+    return count
 
 
 @dataclass(frozen=True)
@@ -288,6 +296,8 @@ def _structure_checks(spec: NetworkSpec) -> list[Violation]:
                 "capacity",
                 f"total storage {total_slots} cannot hold {k} distinct files",
             )
+        for sub_id in _expansion_collisions(spec):
+            err("expanded-id", f"expanded id {sub_id!r} collides with an existing node id")
 
     if not _rtt_is_square(spec):
         err("rtt-shape", f"rtt matrix must be {n}x{n}")
@@ -476,57 +486,47 @@ def expand_multifile(spec: NetworkSpec) -> ExpandedSpec:
     return spec._expansion
 
 
-def _split_capacities(spec: NetworkSpec) -> ExpandedSpec:
-    n = spec.node_count
-    if sum(spec.capacities) > MAX_EXPANDED_SLOTS:
-        raise BudgetExceededError(
-            f"{sum(spec.capacities)} storage slots exceed the expansion budget "
-            f"of {MAX_EXPANDED_SLOTS}"
-        )
-    existing = set(spec.node_ids)
-    sub_ids: list[str] = []
-    provenance: list[tuple[int, int]] = []
-    groups: list[tuple[int, ...]] = []
-    for v in range(n):
-        cap = spec.capacities[v]
-        members = []
-        for slot in range(1, cap + 1):
-            if cap == 1:
-                sub_id = spec.node_ids[v]
-            else:
-                sub_id = f"{spec.node_ids[v]}#{slot}"
-                if sub_id in existing:
-                    raise InvalidSpecError(
-                        f"expanded id {sub_id!r} collides with an existing node id"
-                    )
-            members.append(len(sub_ids))
-            sub_ids.append(sub_id)
-            provenance.append((v, slot))
-        groups.append(tuple(members))
+def _expansion_collisions(spec: NetworkSpec) -> list[str]:
+    """The node ids a capacity expansion would also give a slot: ``p#s``
+    where node ``p`` has capacity ``c >= 2`` and ``s == str(i)`` for
+    some ``1 <= i <= c``.  It reads the ids, not the slots, so a large
+    capacity costs nothing."""
+    caps = {node_id: cap for node_id, cap in zip(spec.node_ids, spec.capacities) if cap >= 2}
+    out = []
+    for node_id in spec.node_ids if caps else ():
+        parent, sep, slot = node_id.rpartition("#")
+        if sep and parent in caps and slot.isdecimal() and len(slot) <= MAX_DIGITS:
+            if slot == str(int(slot)) and 1 <= int(slot) <= caps[parent]:
+                out.append(node_id)
+    return out
 
+
+def _split_capacities(spec: NetworkSpec) -> ExpandedSpec:
+    ids, caps = spec.node_ids, spec.capacities
+    if sum(caps) > MAX_EXPANDED_SLOTS:
+        raise BudgetExceededError(
+            f"{sum(caps)} storage slots exceed the expansion budget of {MAX_EXPANDED_SLOTS}"
+        )
+    collisions = _expansion_collisions(spec)
+    if collisions:
+        raise InvalidSpecError(f"expanded id {collisions[0]!r} collides with an existing node id")
+    provenance = tuple((v, slot) for v, cap in enumerate(caps) for slot in range(1, cap + 1))
+    sub_ids = tuple(ids[v] if caps[v] == 1 else f"{ids[v]}#{slot}" for v, slot in provenance)
+    groups = tuple(tuple(range(end - cap, end)) for cap, end in zip(caps, accumulate(caps)))
     owners = [v for v, _ in provenance]
     rtt = [tuple(0 if a == b else spec.rtt_scaled[a][b] for b in owners) for a in owners]
     # a slot of node v carries 1/capacity(v) of v's demand row: exact
     # integers over the demand scale times the lcm of the capacities
-    split = lcm(*(spec.capacities[a] for a in owners))
-    demands = [
-        tuple(p * (split // spec.capacities[a]) for p in spec.demands_scaled[a]) for a in owners
-    ]
+    split = lcm(*(caps[a] for a in owners))
+    demands = [tuple(p * (split // caps[a]) for p in spec.demands_scaled[a]) for a in owners]
     network = NetworkSpec(
-        tuple(sub_ids),
+        sub_ids,
         (1,) * len(sub_ids),
-        *_lowest_terms(rtt, spec.rtt_scale),
-        *_lowest_terms(demands, spec.demand_scale * split),
+        *lowest_terms(rtt, spec.rtt_scale),
+        *lowest_terms(demands, spec.demand_scale * split),
         spec.file_count,
     )
-    return ExpandedSpec(network=network, provenance=tuple(provenance), groups=tuple(groups))
-
-
-def _lowest_terms(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer rows over ``scale`` rescaled to the lcm of their
-    denominators, the scale ``make_spec`` would give the same values."""
-    g = gcd(scale, *chain.from_iterable(rows))
-    return tuple(tuple(x // g for x in row) for row in rows), scale // g
+    return ExpandedSpec(network=network, provenance=provenance, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -560,26 +560,19 @@ def load_spec(
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh, parse_float=Fraction)
     spec = spec_from_dict(data)
-    if rtt_csv is None and demands_csv is None:
-        return spec
-    return make_spec(
-        spec.node_ids,
-        spec.rtt if rtt_csv is None else load_matrix_csv(rtt_csv),
-        spec.demands if demands_csv is None else load_matrix_csv(demands_csv),
-        spec.file_count,
-        spec.capacities,
-    )
+    scaled = {}
+    if rtt_csv is not None:
+        scaled["rtt_scaled"], scaled["rtt_scale"] = scaled_rows(load_matrix_csv(rtt_csv))
+    if demands_csv is not None:
+        scaled["demands_scaled"], scaled["demand_scale"] = scaled_rows(load_matrix_csv(demands_csv))
+    return replace(spec, **scaled) if scaled else spec
 
 
-def load_matrix_csv(path: str) -> tuple[tuple[Fraction, ...], ...]:
-    """Read a headerless numeric CSV matrix as exact rationals."""
-    rows = []
+def load_matrix_csv(path: str) -> tuple[tuple[str, ...], ...]:
+    """Read the raw cells of a headerless CSV matrix, skipping blank
+    lines; ``scaled_rows`` parses them like JSON cells."""
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.reader(fh):
-            if not record:
-                continue
-            rows.append(tuple(to_fraction(cell) for cell in record))
-    return tuple(rows)
+        return tuple(tuple(record) for record in csv.reader(fh) if record)
 
 
 def save_spec(spec: NetworkSpec, path: str) -> None:

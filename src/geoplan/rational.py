@@ -2,9 +2,10 @@
 
 Round-trip times and demand probabilities are parsed as exact rationals
 and held as integers over one scale per matrix, the least common
-multiple of its denominators (``scaled_rows``), so optimizer results,
-oracle results and report values can be compared for exact equality.
-The hot paths sum and compare those integers (see
+multiple of its denominators, so optimizer results, oracle results and
+report values can be compared for exact equality.  ``to_ratio`` is the
+one parser and ``lowest_terms`` the one reduction; ``scaled_rows`` joins
+them.  The hot paths sum and compare those integers (see
 `NetworkSpec.cost_scale`) and build a `Fraction` only where a value is
 reported.  Floats only appear at ingestion and are read through their
 shortest decimal representation.
@@ -13,11 +14,20 @@ shortest decimal representation.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
+
+from .errors import BudgetExceededError
+
+#: Most decimal digits of a count, a matrix scale or a scaled cell, so
+#: every derived value stays well inside what ``str(int)`` prints (4,300).
+MAX_DIGITS = 1000
+_BOUND = 10**MAX_DIGITS  # built once: each power costs microseconds
 
 
-def to_fraction(value) -> Fraction:
-    """Coerce a JSON-ish numeric value to an exact Fraction.
+def to_ratio(value) -> tuple[int, int]:
+    """A JSON-ish numeric value as exact integers ``(p, q)``, ``q > 0``,
+    not always in lowest terms (``scaled_rows`` reduces a whole matrix).
 
     Strings may be decimal literals ("0.025") or ratios ("1/40").
     Floats are interpreted via their decimal repr, so 0.025 means
@@ -25,53 +35,56 @@ def to_fraction(value) -> Fraction:
     denominator is a ValueError, like any other malformed literal.
     """
     if isinstance(value, str):
-        text = value.strip()
         # plain digits and "p/q" skip Fraction's literal parser
-        num, slash, den = text.partition("/")
+        num, slash, den = value.partition("/")
         if num.isdecimal() and (den.isdecimal() or not slash):
             q = int(den or 1)
-            if q == 0:
-                raise ValueError(f"zero denominator in {value!r}")
-            return Fraction(int(num), q)
+            if q:
+                return int(num), q
+            raise ValueError(f"zero denominator in {value!r}")
         try:
-            return Fraction(text)
+            return Fraction(value.strip()).as_integer_ratio()
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+    if isinstance(value, float):
+        return to_ratio(str(value))
     if isinstance(value, bool):
         raise TypeError("booleans are not numeric values")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def to_fraction(value) -> Fraction:
+    """``to_ratio(value)`` as a Fraction."""
+    return Fraction(*to_ratio(value))
 
 
 def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """A matrix of rationals as exact integers over one scale.
 
     Returns ``(rows, scale)``: ``rows[i][j] / scale`` is
-    ``to_fraction(matrix[i][j])``, rows keep their lengths, and
-    ``scale`` is the lcm of the denominators, so equal matrices give
-    equal pairs.  Each distinct string cell is parsed once; any other
-    cell is coerced on its own, since a value-keyed cache would take
-    ``True`` for ``1``.  The first bad cell in row-major order raises.
+    ``to_ratio(matrix[i][j])``, rows keep their lengths, and ``scale``
+    is the lcm of the reduced denominators, so equal matrices give equal
+    pairs.  Each cell is parsed once, and the first bad cell in
+    row-major order raises.  A scale or a cell of more than
+    ``MAX_DIGITS`` digits raises ``BudgetExceededError``.
     """
-    exact: dict = {}  # a string cell, or a non-string cell's value -> Fraction
+    ratios = [list(map(to_ratio, row)) for row in matrix]
+    scale = lcm(*{q for row in ratios for _, q in row})
+    rows, scale = lowest_terms([[p * (scale // q) for p, q in row] for row in ratios], scale)
+    if max(map(abs, chain((scale,), *rows))) >= _BOUND:
+        raise BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
+    return rows, scale
 
-    def key(x):
-        if not isinstance(x, str):
-            x = to_fraction(x)
-            exact[x] = x
-        elif x not in exact:
-            exact[x] = to_fraction(x)
-        return x
 
-    keyed = [tuple(map(key, row)) for row in matrix]
-    scale = lcm(*(f.denominator for f in exact.values()))
-    scaled = {x: f.numerator * (scale // f.denominator) for x, f in exact.items()}
-    return tuple(tuple(map(scaled.__getitem__, row)) for row in keyed), scale
+def lowest_terms(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows over ``scale`` divided by their gcd with it, which
+    leaves the lcm of the cells' reduced denominators as the scale."""
+    g = gcd(scale, *chain.from_iterable(rows))
+    if g == 1:
+        return tuple(map(tuple, rows)), scale
+    return tuple(tuple(x // g for x in row) for row in rows), scale // g
 
 
 def unscale_matrix(rows, scale: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -81,21 +94,12 @@ def unscale_matrix(rows, scale: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def frac_str(value: Fraction) -> str:
     """Exact rendering: integers bare, everything else as "p/q"."""
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))
 
 
 def frac_decimal(value: Fraction, places: int = 6) -> str:
     """Fixed-point decimal rendering with round-half-to-even."""
     f = Fraction(value)
-    sign = "-" if f < 0 else ""
-    scaled = abs(f) * 10**places
-    whole, rem = divmod(scaled.numerator, scaled.denominator)
-    # round half to even on the remainder
-    double = 2 * rem
-    if double > scaled.denominator or (double == scaled.denominator and whole % 2 == 1):
-        whole += 1
-    digits = str(whole).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    # round() of a Fraction rounds half to even
+    digits = str(round(abs(f) * 10**places)).rjust(places + 1, "0")
+    return f"{'-' if f < 0 else ''}{digits[:-places]}.{digits[-places:]}"

@@ -417,6 +417,38 @@ def test_capacity_past_the_expansion_budget_exits_5(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("value", ["1e-4300", "9e99999", "1e-99999"])
+def test_numbers_past_the_digit_budget_exit_5(tmp_path, capsys, value):
+    data = json.loads(Path(EX1).read_text())
+    data["rtt"][0][1] = data["rtt"][1][0] = value
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "plan", "oracle", "expand"):
+        assert cli.main([command, "--spec", str(path)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("budget exceeded:") and "1000 digits" in err
+
+
+def test_validate_refuses_an_expanded_id_collision(tmp_path, capsys):
+    data = json.loads(Path(EX1).read_text())
+    data["nodes"][0]["capacity"] = 2
+    data["nodes"][1]["id"] = "A#1"
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert cli.main(["validate", "--spec", str(path), "--out", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["ok"] is False
+    assert [v["kind"] for v in report["violations"]] == ["expanded-id", "triangle"]
+    collision = "error: [expanded-id] expanded id 'A#1' collides with an existing node id"
+    assert collision in capsys.readouterr().err
+    for command in ("plan", "oracle", "export", "expand"):
+        assert cli.main([command, "--spec", str(path), "--out", str(tmp_path / "x")]) == 3
+        assert collision in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([path, out])
+
+
 def test_integral_decimal_counts_are_accepted(tmp_path, capsys):
     data = {
         "files": 2.0,

@@ -11,7 +11,7 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec
-from geoplan.rational import to_fraction
+from geoplan.rational import MAX_DIGITS, to_fraction
 from test_fuzz import ODD_VALUES
 
 
@@ -151,6 +151,37 @@ def test_boolean_cell_after_an_equal_number_is_refused():
             gp.spec_from_dict(data)
 
 
+def test_numbers_past_the_digit_budget_are_refused():
+    def parses(value):
+        try:
+            to_fraction(value)
+        except (TypeError, ValueError):
+            return False
+        return True
+
+    def spec_with(rtt=1, demand=Fraction(1, 2), files=2):
+        return gp.make_spec(("X", "Y"), ((0, rtt), (rtt, 0)), ((demand, 0), (0, demand)), files)
+
+    for value in ("1e400", 10**40, 10**MAX_DIGITS - 1, f"1/{10**(MAX_DIGITS - 1)}"):
+        assert spec_with(value).rtt[0][1] == to_fraction(value)
+        assert spec_with(demand=value).demands[0][0] == to_fraction(value)
+    assert spec_with(files=10**MAX_DIGITS - 1).file_count == 10**MAX_DIGITS - 1
+    # the fuzzer's numbers left out of CORPUS_NUMBERS, and the edges
+    left_out = [v for v in ODD_VALUES if parses(v) and v not in CORPUS_NUMBERS]
+    assert left_out == ["9e99999", "1e-99999"]
+    for value in (*left_out, "1e-4300", 10**MAX_DIGITS, f"1/{10**MAX_DIGITS}"):
+        with pytest.raises(gp.BudgetExceededError, match="1000 digits"):
+            spec_with(value)
+        with pytest.raises(gp.BudgetExceededError, match="1000 digits"):
+            spec_with(demand=value)
+    # a scale within the budget whose scaled cells are not
+    with pytest.raises(gp.BudgetExceededError):
+        gp.make_spec(("X", "Y"), ((0, 10**600), ("1e-600", 0)), ((1, 0), (0, 0)), 2)
+    for files, caps in (("1e5000", None), (10**MAX_DIGITS, None), (2, (1, "-1e1000"))):
+        with pytest.raises(gp.BudgetExceededError, match="1000 digits"):
+            gp.make_spec(("X", "Y"), ((0, 1), (1, 0)), ((1, 0), (0, 0)), files, caps)
+
+
 # --- the exact integer RTT view -----------------------------------------
 
 
@@ -161,8 +192,8 @@ def assert_exact(scaled, scale, cells):
     assert tuple(tuple(Fraction(x, scale) for x in row) for row in scaled) == cells
 
 
-def corpus_matrix(rng, rows, cols):
-    return [[rng.choice(CORPUS_NUMBERS) for _ in range(cols)] for _ in range(rows)]
+def corpus_matrix(rng, rows, cols, pool=CORPUS_NUMBERS):
+    return [[rng.choice(pool) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_rtt_scaled_is_cached_and_exact():
@@ -178,11 +209,13 @@ def test_rtt_scaled_is_cached_and_exact():
             x, y = spec.rtt[a[0]][a[1]], spec.rtt[b[0]][b[1]]
             sx, sy = spec.rtt_scaled[a[0]][a[1]], spec.rtt_scaled[b[0]][b[1]]
             assert (x < y, x == y) == (sx < sy, sx == sy)
-    # matrices of the fuzzer's numbers: the views are the per-cell parse
+    # matrices of the fuzzer's numbers and of unreduced or padded ratios:
+    # the views are the per-cell parse
+    pool = CORPUS_NUMBERS + ["2/4", "6/9", "0/5", "10/4", "007/014", " 3/6 "]
     rng = random.Random(1009)
     for _ in range(40):
         n, k = rng.randint(1, 5), rng.randint(1, 3)
-        rtt, demands = corpus_matrix(rng, n, n), corpus_matrix(rng, n, k)
+        rtt, demands = corpus_matrix(rng, n, n, pool), corpus_matrix(rng, n, k, pool)
         spec = gp.make_spec([f"n{i}" for i in range(n)], rtt, demands, k)
         exact_rtt = tuple(tuple(map(to_fraction, row)) for row in rtt)
         exact_demands = tuple(tuple(map(to_fraction, row)) for row in demands)
@@ -439,6 +472,14 @@ def test_csv_overrides(tmp_path, ex1):
     spec = gp.load_spec(str(spec_path), rtt_csv=str(rtt_path))
     assert spec.rtt[0][2] == 1
     assert spec.demands == ex1.demands
+    # unreduced and padded cells, and a blank line, read as the JSON file
+    rtt_path.write_text("".join(
+        ",".join(f"{2 * t.numerator}/{2 * t.denominator}" for t in row) + "\n\n" for row in ex1.rtt))
+    demands_path = tmp_path / "demands.csv"
+    demands_path.write_text("".join(
+        ",".join(f" {3 * p.numerator}/{3 * p.denominator} " for p in row) + "\n" for row in ex1.demands))
+    spec = gp.load_spec(str(spec_path), rtt_csv=str(rtt_path), demands_csv=str(demands_path))
+    assert spec == ex1 == gp.load_spec(str(spec_path))
 
 
 def test_malformed_spec_file(tmp_path):

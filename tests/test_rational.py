@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from geoplan.rational import frac_decimal, frac_str, to_fraction
+from geoplan.rational import frac_decimal, frac_str, to_fraction, to_ratio
 
 
 def test_decimal_string_is_exact():
@@ -69,10 +69,15 @@ def test_string_parse_agrees_with_fraction():
         except ValueError:
             with pytest.raises(ValueError):
                 to_fraction(text)
+            with pytest.raises(ValueError):
+                to_ratio(text)
             continue
         got = to_fraction(text)
         assert type(got) is Fraction
         assert got == expected, text
+        p, q = to_ratio(text)
+        assert type(p) is type(q) is int and q > 0
+        assert Fraction(p, q) == expected, text
 
 
 def test_zero_denominator_is_a_value_error():
