@@ -1,9 +1,9 @@
 """Brute-force oracle and plan verdicts.
 
-The oracle searches raw placement functions (file index per storage
-slot) depth first, slot 0 first and files ascending, which is
-lexicographic order, and scores each by the nearest-holder rule alone;
-it never touches the planner's graph/coloring/assignment machinery, so
+The oracle searches placement functions (file index per storage slot)
+depth first, slot 0 first and files ascending, which is lexicographic
+order, and scores each by the nearest-holder rule alone; it never
+touches the planner's graph/coloring/assignment machinery, so
 agreement between the two is meaningful evidence.  Admissibility is
 tested per node, from the definition: some choice of the node's k-1
 nearest peers (any of the peers tied at the (k-1)-th distance may
@@ -11,17 +11,29 @@ serve) must hold, together with the node, all k files.  The search
 cuts a prefix as soon as it decides a condition: a slot repeats the
 file of a slot it must differ from, or a set that must hold all k
 files (a node with every peer within its (k-1)-th distance, or all
-slots) misses more files than it has slots left.  The budget still
-refuses on all k^slots placements.  Scoring runs on the network's
-integer scale (``NetworkSpec.cost_scale``), and each distinct reported
-witness is re-scored once by ``eval_uncoded`` on the network as given
-before it leaves.
+slots) misses more files than it has slots left.
+
+The sibling slots of a multi-capacity node are interchangeable (RTT 0
+apart, equal rows), so every check and score is the same across their
+orderings.  The search keeps siblings in non-decreasing file order,
+visits each placement once and counts it as its number of sibling
+orderings: ``scored`` and the witness cap still count slot functions.
+The witnesses project the first ``witness_cap`` optimal slot functions
+in lexicographic order; when the cap cuts, they are rebuilt by merging
+the orderings of the first optimal sorted placements, since a sorted
+placement is the first of its orderings.  The budget still refuses on
+all k^slots placements.  Scoring runs on the network's integer scale
+(``NetworkSpec.cost_scale``), and each distinct reported witness is
+re-scored once by ``eval_uncoded`` on the network as given before it
+leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import AuditError, BudgetExceededError, InvalidInputError
 from .evaluation import eval_uncoded
@@ -74,11 +86,16 @@ def brute_force_placement(
 
     The search assigns slots 0, 1, ... in turn, files ascending, so
     placements come in lexicographic order; a prefix is cut as soon as
-    it breaks a condition that no completion can repair.  Raises when
-    the k ** slot_count space exceeds ``budget``.
+    it breaks a condition that no completion can repair, and a slot
+    takes no file below its previous sibling's.  ``scored`` counts slot
+    functions; the witnesses project the first ``witness_cap`` (at
+    least 0) optimal ones, and ``witnesses_capped`` says more exist.
+    Raises when the k ** slot_count space exceeds ``budget``.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown oracle mode {mode!r}")
+    if witness_cap < 0:
+        raise InvalidInputError(f"witness cap must be at least 0, got {witness_cap}")
     require_valid(spec)
     expanded = expand_multifile(spec)
     work = expanded.network
@@ -91,6 +108,10 @@ def brute_force_placement(
         )
 
     rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
+    # per node: all nodes by distance, nearest first, index as tie-break
+    order = [
+        sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)
+    ]
     # per slot s: the earlier slots whose files s must differ from, and
     # for each cover s is in (a set that must hold all k files; all slots
     # form one) its earlier members and how many files they and s must
@@ -99,7 +120,9 @@ def brute_force_placement(
     covers: set[tuple[int, ...]] = {tuple(range(n))}  # surjectivity
     if mode == "admissible_only" and k > 1:
         for v in range(n):
-            far = sorted(rtt_i[v][u] for u in range(n) if u != v)[k - 2]
+            # order[v] starts with v's own distance 0, so its k-th entry
+            # is at v's (k-1)-th nearest peer distance
+            far = rtt_i[v][order[v][k - 1]]
             near = [u for u in range(n) if u == v or rtt_i[v][u] < far]
             within = [u for u in range(n) if rtt_i[v][u] <= far]
             # k nodes holding all k files hold distinct ones
@@ -114,14 +137,14 @@ def brute_force_placement(
             need = k - (len(cover) - 1 - i)
             if need > 1:
                 needs[s].append((cover[:i], need))
-    # per node: all nodes by distance, nearest first, index as tie-break
-    order = [
-        sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)
-    ]
+    # per multi-capacity node, its slots lo..hi-1; each slot after the
+    # first takes no file below its previous sibling's
+    spans = [(g[0], g[-1] + 1) for g in expanded.groups if len(g) > 1]
+    follows = {s for lo, hi in spans for s in range(lo + 1, hi)}
 
     best: int | None = None
-    raw_witnesses: list[tuple[int, ...]] = []
-    capped = False
+    kept: list[tuple[int, ...]] = []  # the first optimal sorted placements
+    raw_total = 0  # optimal slot functions so far, kept or not
     scored = 0
 
     onehot = [1 << j for j in range(k)]
@@ -132,7 +155,7 @@ def brute_force_placement(
     s = 0
     while s >= 0:
         if len(stack) == s:
-            taken = 0
+            taken = onehot[files[s - 1]] - 1 if s in follows else 0
             for t in differ[s]:
                 taken |= onehot[files[t]]
             for earlier, need in needs[s]:
@@ -168,17 +191,37 @@ def brute_force_placement(
                     total += row[f] * dist[u]
                     if found == every:
                         break
-        scored += 1
+        # its sibling orderings: per span, cap! / (count of each file)!,
+        # built one slot at a time (each partial product is an integer)
+        weight = 1
+        for lo, hi in spans:
+            run = 1
+            for t in range(lo + 1, hi):
+                run = run + 1 if files[t] == files[t - 1] else 1
+                weight = weight * (t + 1 - lo) // run
+        scored += weight
         if best is None or total < best:
             best = total
-            raw_witnesses = [tuple(files)]
-            capped = False
+            kept = [tuple(files)] if witness_cap else []
+            raw_total = weight
         elif total == best:
-            if len(raw_witnesses) < witness_cap:
-                raw_witnesses.append(tuple(files))
-            else:
-                capped = True
+            raw_total += weight
+            if len(kept) < witness_cap:
+                kept.append(tuple(files))
 
+    # The witnesses are the first witness_cap optimal slot functions in
+    # lexicographic order.  A sorted placement is the first of its
+    # orderings, and each sorted one before it comes with an earlier
+    # slot function, so only the kept ones can supply witnesses.  Uncut,
+    # each projects to one witness, in order; cut, their orderings are
+    # merged.
+    capped = raw_total > witness_cap
+    raw_witnesses: Iterable[tuple[int, ...]] = kept
+    if capped and spans:
+        from heapq import merge  # rarely needed, so not loaded with the package
+
+        orderings = (_sibling_orderings(files, spans) for files in kept)
+        raw_witnesses = islice(merge(*orderings), witness_cap)
     best_value = None if best is None else Fraction(best, work.cost_scale)
     witnesses = dict.fromkeys(
         expanded.project_placement(Placement.from_files(files)) for files in raw_witnesses
@@ -197,6 +240,33 @@ def brute_force_placement(
         mode=mode,
         witnesses_capped=capped,
     )
+
+
+def _sibling_orderings(
+    files: tuple[int, ...], spans: list[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """Each reordering of ``files`` within the sibling spans once, in
+    lexicographic order, starting from ``files`` itself, whose spans
+    are sorted."""
+    out = list(files)
+    while True:
+        yield tuple(out)
+        for lo, hi in reversed(spans):
+            # step the span to its next permutation; past the last one it
+            # goes back to sorted and the span before it steps
+            i = hi - 2
+            while i >= lo and out[i] >= out[i + 1]:
+                i -= 1
+            if i >= lo:
+                j = hi - 1
+                while out[j] <= out[i]:
+                    j -= 1
+                out[i], out[j] = out[j], out[i]
+                out[i + 1 : hi] = reversed(out[i + 1 : hi])
+                break
+            out[lo:hi] = reversed(out[lo:hi])
+        else:
+            return
 
 
 @dataclass(frozen=True)

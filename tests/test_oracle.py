@@ -298,3 +298,91 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert (res.best_value, res.search_space, res.scored) == (0, 1, 1)
+
+
+def test_negative_witness_cap_is_refused(ex1):
+    with pytest.raises(gp.InvalidInputError, match="witness cap"):
+        gp.brute_force_placement(ex1, witness_cap=-1)
+
+
+def test_witness_cap_zero_reports_no_witness():
+    """At cap 0 no witness is kept, and the cap flag says whether an
+    optimum exists, as in the product loop."""
+    for spec in (gp.example_instance_uniform(), gp.example_instance(), gp.infeasible_instance()):
+        (want,) = product_oracle(spec, "admissible_only", (0,))
+        got = gp.brute_force_placement(spec, witness_cap=0)
+        assert got == want
+        assert got.witnesses == ()
+        assert got.witnesses_capped == (got.best_value is not None)
+
+
+def test_sibling_orderings_count_as_slot_functions():
+    """Nodes A and B, capacity 2 each, at RTT 1; k = 2 and only file 0
+    is wanted (1/2 at each node).  Slots are A#1 A#2 B#1 B#2.
+
+    Admissible: each slot's nearest peer is its sibling, so A's slots
+    hold {0, 1} and so do B's.  That is one sibling-sorted placement,
+    (0 1 | 0 1), at average 0, standing for 2! * 2! = 4 slot functions:
+    ``scored`` is 4 and the cap cuts below 4.
+
+    Unrestricted: the 2^4 - 2 = 14 surjective slot functions are
+    scored.  Average 0 needs file 0 at both nodes.  The 8 optimal slot
+    functions in order are 0001 0010 0100 0101 0110 1000 1001 1010, so
+    the witnesses are (00 01), (01 00) and (01 01), in that order; the
+    first two slot functions are both (00 01), so cap 2 reports one
+    witness and cap 3 two."""
+    half = F(1, 2)
+    spec = gp.make_spec(["A", "B"], [[0, 1], [1, 0]], [[half, 0], [half, 0]], 2, capacities=(2, 2))
+    both = ((0, 1), (0, 1))
+    for cap, capped in ((0, True), (1, True), (3, True), (4, False)):
+        res = gp.brute_force_placement(spec, witness_cap=cap)
+        assert (res.best_value, res.scored, res.search_space) == (0, 4, 16)
+        assert [w.files_by_node for w in res.witnesses] == [both][:cap]
+        assert res.witnesses_capped == capped
+    ordered = [((0, 0), (0, 1)), ((0, 1), (0, 0)), both]
+    cuts = ((0, 0, True), (1, 1, True), (2, 1, True), (3, 2, True), (8, 3, False))
+    for cap, count, capped in cuts:
+        res = gp.brute_force_placement(spec, "unrestricted", witness_cap=cap)
+        assert (res.best_value, res.scored) == (0, 14)
+        assert [w.files_by_node for w in res.witnesses] == ordered[:count]
+        assert res.witnesses_capped == capped
+
+
+def test_sibling_sorted_search_equals_product_loop():
+    """Sixty networks of 2 to 5 nodes with capacities 1 to 3 and k of 2
+    or 3, so a node may hold more slots than there are files and its
+    siblings then share one.  Both modes, at witness caps 0, 1, 2 and
+    64, against the product loop over every slot function."""
+    rng = random.Random(331)
+    caps = (0, 1, 2, 64)
+    seen = {"capped": 0, "multi_witness": 0, "repeated_file": 0}
+    checked = 0
+    while checked < 60:
+        k = rng.choice((2, 3))
+        n = rng.randint(2, 5)
+        capacities = [rng.choice((1, 2, 2, 3)) for _ in range(n)]
+        if sum(capacities) < k or k ** sum(capacities) > 6_000:
+            continue
+        rtt = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                rtt[u][v] = rtt[v][u] = rng.randint(1, 3)
+        weights = [[rng.randint(0, 4) for _ in range(k)] for _ in range(n)]
+        weights[0][0] += 1
+        total = sum(map(sum, weights))
+        demands = [[F(w, total) for w in row] for row in weights]
+        spec = gp.make_spec([f"c{i}" for i in range(n)], rtt, demands, k, capacities=capacities)
+        checked += 1
+        for mode in gp.oracle.MODES:
+            expected = product_oracle(spec, mode, caps)
+            for cap, want in zip(caps, expected):
+                got = gp.brute_force_placement(spec, mode, witness_cap=cap)
+                assert got == want, (checked, mode, cap)
+            seen["capped"] += expected[2].witnesses_capped
+            seen["multi_witness"] += len(expected[-1].witnesses) > 1
+            seen["repeated_file"] += any(
+                len(set(files)) < len(files)
+                for w in expected[-1].witnesses
+                for files in w.files_by_node
+            )
+    assert min(seen.values()) >= 10, seen
