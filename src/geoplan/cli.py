@@ -283,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["admissible", "unrestricted"],
                    default="admissible", help="placement universe to search")
     p.add_argument("--budget", type=non_negative_int, default=DEFAULT_ORACLE_BUDGET,
-                   help="refuse networks with more than N placements (k^slots)")
+                   help="refuse networks with more than N placements "
+                        "(per node of capacity c, comb(k + c - 1, c) file sets)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("export", help="write supply and conflict graphs as DOT")

@@ -29,9 +29,9 @@ from itertools import combinations, islice, product
 from math import comb, prod
 from typing import NamedTuple, Sequence
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
 from .model import NetworkSpec
-from .rational import frac_str
+from .rational import MAX_DIGITS, _BOUND, frac_str
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,17 @@ def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
     return tuple(tiers)
 
 
+def count_supply_graphs(tiers: Sequence[SupplierTier]) -> int:
+    """How many supply graphs ``tiers`` allow: per node, the ways to
+    pick its ``picks`` tied peers, multiplied.  Raises
+    ``BudgetExceededError`` past ``MAX_DIGITS`` digits, which no report
+    could print."""
+    total = prod(comb(len(t.tied), t.picks) for t in tiers)
+    if total >= _BOUND:
+        raise BudgetExceededError(f"the supply-graph count has more than {MAX_DIGITS} digits")
+    return total
+
+
 @dataclass(frozen=True)
 class NngEnumeration:
     graphs: tuple[NearestNeighborGraph, ...]
@@ -161,18 +172,24 @@ def enumerate_nngs(spec: NetworkSpec, cap: int = 64) -> NngEnumeration:
     the peers tied at that distance.  Graphs are emitted in a canonical
     order (per-node choices lexicographic by index, the last node
     varying fastest).  ``cap`` bounds the number of returned graphs;
-    ``total`` counts all valid ones.
+    ``total`` counts all valid ones (see ``count_supply_graphs``).
     """
     cap = max(cap, 0)
+    tiers = supplier_tiers(spec)
+    total = count_supply_graphs(tiers)
+    # graph g picks choice at most g at every node, so the first cap + 1
+    # graphs need only each node's first cap + 1 choices
     per_node_choices = [
-        [tuple(sorted(t.forced + picked)) for picked in combinations(t.tied, t.picks)]
-        for t in supplier_tiers(spec)
+        [
+            tuple(sorted(t.forced + picked))
+            for picked in islice(combinations(t.tied, t.picks), cap + 1)
+        ]
+        for t in tiers
     ]
     graphs = [
         NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=combo)
         for combo in islice(product(*per_node_choices), cap + 1)
     ]
-    total = prod(map(len, per_node_choices))
     return NngEnumeration(graphs=tuple(graphs[:cap]), truncated=len(graphs) > cap, total=total)
 
 

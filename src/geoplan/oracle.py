@@ -13,18 +13,16 @@ file of a slot it must differ from, or a set that must hold all k
 files (a node with every peer within its (k-1)-th distance, or all
 slots) misses more files than it has slots left.
 
-The sibling slots of a multi-capacity node are interchangeable (RTT 0
-apart, equal rows), so every check and score is the same across their
-orderings.  The search keeps siblings in non-decreasing file order,
-visits each placement once and counts it as its number of sibling
-orderings: ``scored`` and the witness cap still count slot functions.
-The witnesses project the first ``witness_cap`` optimal slot functions
-in lexicographic order; when the cap cuts, they are rebuilt by merging
-the orderings of the first optimal sorted placements, since a sorted
-placement is the first of its orderings.  The budget still refuses on
-all k^slots placements.  Scoring runs on the network's integer scale
-(``NetworkSpec.cost_scale``), and each distinct reported witness is
-re-scored once by ``eval_uncoded`` on the network as given before it
+A placement says which files each node stores; a capacity-c node holds
+c of them, repeats allowed, so it has comb(k + c - 1, c) choices and
+the network their product, ``search_space``.  The node's sibling slots
+are interchangeable (RTT 0 apart, equal rows), so the search keeps
+them in non-decreasing file order and visits each placement once:
+``scored`` counts the placements that pass every check, the witnesses
+are the first ``witness_cap`` optimal ones in search order, and the
+budget refuses on ``search_space``.  Scoring runs on the network's
+integer scale (``NetworkSpec.cost_scale``), and each reported witness
+is re-scored by ``eval_uncoded`` on the network as given before it
 leaves.
 """
 
@@ -32,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Iterator
+from math import comb, prod
 
 from .errors import AuditError, BudgetExceededError, InvalidInputError
 from .evaluation import eval_uncoded
@@ -76,8 +73,8 @@ def brute_force_placement(
 ) -> OracleResult:
     """Exhaustive minimum over placements by direct scoring.
 
-    ``unrestricted`` scores every function from storage slots onto files
-    that stores each file somewhere; ``admissible_only`` keeps only
+    ``unrestricted`` scores every placement that stores each file
+    somewhere; ``admissible_only`` keeps only
     placements admissible for at least one valid supply graph: for
     every node v, v and its peers strictly nearer than its (k-1)-th
     nearest distance hold distinct files, and adding the peers at
@@ -87,10 +84,12 @@ def brute_force_placement(
     The search assigns slots 0, 1, ... in turn, files ascending, so
     placements come in lexicographic order; a prefix is cut as soon as
     it breaks a condition that no completion can repair, and a slot
-    takes no file below its previous sibling's.  ``scored`` counts slot
-    functions; the witnesses project the first ``witness_cap`` (at
-    least 0) optimal ones, and ``witnesses_capped`` says more exist.
-    Raises when the k ** slot_count space exceeds ``budget``.
+    takes no file below its previous sibling's, so each placement is
+    visited once.  ``scored`` counts the placements that pass; the
+    witnesses are the first ``witness_cap`` (at least 0) optimal ones,
+    and ``witnesses_capped`` says more exist.  Raises when
+    ``search_space``, the product over nodes of comb(k + c - 1, c),
+    exceeds ``budget``.
     """
     if mode not in MODES:
         raise InvalidInputError(f"unknown oracle mode {mode!r}")
@@ -101,11 +100,9 @@ def brute_force_placement(
     work = expanded.network
     n = work.node_count
     k = work.file_count
-    space = k**n
+    space = prod(comb(k + c - 1, c) for c in spec.capacities)
     if space > budget:
-        raise BudgetExceededError(
-            f"{k}^{n} = {space} placements exceed the oracle budget of {budget}"
-        )
+        raise BudgetExceededError(f"{space} placements exceed the oracle budget of {budget}")
 
     rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
     # per node: all nodes by distance, nearest first, index as tie-break
@@ -137,14 +134,12 @@ def brute_force_placement(
             need = k - (len(cover) - 1 - i)
             if need > 1:
                 needs[s].append((cover[:i], need))
-    # per multi-capacity node, its slots lo..hi-1; each slot after the
-    # first takes no file below its previous sibling's
-    spans = [(g[0], g[-1] + 1) for g in expanded.groups if len(g) > 1]
-    follows = {s for lo, hi in spans for s in range(lo + 1, hi)}
+    # each slot after the first of its node takes no file below its
+    # previous sibling's
+    follows = {s for g in expanded.groups for s in g[1:]}
 
     best: int | None = None
-    kept: list[tuple[int, ...]] = []  # the first optimal sorted placements
-    raw_total = 0  # optimal slot functions so far, kept or not
+    kept: list[tuple[int, ...]] = []  # the first witness_cap + 1 optimal placements
     scored = 0
 
     onehot = [1 << j for j in range(k)]
@@ -191,40 +186,16 @@ def brute_force_placement(
                     total += row[f] * dist[u]
                     if found == every:
                         break
-        # its sibling orderings: per span, cap! / (count of each file)!,
-        # built one slot at a time (each partial product is an integer)
-        weight = 1
-        for lo, hi in spans:
-            run = 1
-            for t in range(lo + 1, hi):
-                run = run + 1 if files[t] == files[t - 1] else 1
-                weight = weight * (t + 1 - lo) // run
-        scored += weight
+        scored += 1
         if best is None or total < best:
             best = total
-            kept = [tuple(files)] if witness_cap else []
-            raw_total = weight
-        elif total == best:
-            raw_total += weight
-            if len(kept) < witness_cap:
-                kept.append(tuple(files))
+            kept = [tuple(files)]
+        elif total == best and len(kept) <= witness_cap:
+            kept.append(tuple(files))
 
-    # The witnesses are the first witness_cap optimal slot functions in
-    # lexicographic order.  A sorted placement is the first of its
-    # orderings, and each sorted one before it comes with an earlier
-    # slot function, so only the kept ones can supply witnesses.  Uncut,
-    # each projects to one witness, in order; cut, their orderings are
-    # merged.
-    capped = raw_total > witness_cap
-    raw_witnesses: Iterable[tuple[int, ...]] = kept
-    if capped and spans:
-        from heapq import merge  # rarely needed, so not loaded with the package
-
-        orderings = (_sibling_orderings(files, spans) for files in kept)
-        raw_witnesses = islice(merge(*orderings), witness_cap)
     best_value = None if best is None else Fraction(best, work.cost_scale)
-    witnesses = dict.fromkeys(
-        expanded.project_placement(Placement.from_files(files)) for files in raw_witnesses
+    witnesses = tuple(
+        expanded.project_placement(Placement.from_files(files)) for files in kept[:witness_cap]
     )
     for placement in witnesses:
         # independent confirmation on the exact rational path, on the
@@ -234,39 +205,12 @@ def brute_force_placement(
             raise AuditError(f"witness scores {report.average}, search found {best_value}")
     return OracleResult(
         best_value=best_value,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         search_space=space,
         scored=scored,
         mode=mode,
-        witnesses_capped=capped,
+        witnesses_capped=len(kept) > witness_cap,
     )
-
-
-def _sibling_orderings(
-    files: tuple[int, ...], spans: list[tuple[int, int]]
-) -> Iterator[tuple[int, ...]]:
-    """Each reordering of ``files`` within the sibling spans once, in
-    lexicographic order, starting from ``files`` itself, whose spans
-    are sorted."""
-    out = list(files)
-    while True:
-        yield tuple(out)
-        for lo, hi in reversed(spans):
-            # step the span to its next permutation; past the last one it
-            # goes back to sorted and the span before it steps
-            i = hi - 2
-            while i >= lo and out[i] >= out[i + 1]:
-                i -= 1
-            if i >= lo:
-                j = hi - 1
-                while out[j] <= out[i]:
-                    j -= 1
-                out[i], out[j] = out[j], out[i]
-                out[i + 1 : hi] = reversed(out[i + 1 : hi])
-                break
-            out[lo:hi] = reversed(out[lo:hi])
-        else:
-            return
 
 
 @dataclass(frozen=True)

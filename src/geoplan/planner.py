@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
 
 from .assignment import (
     FileMap,
@@ -44,6 +43,7 @@ from .model import NetworkSpec, Placement, expand_multifile, require_valid
 from .nngraph import (
     NearestNeighborGraph,
     build_extended_graph,
+    count_supply_graphs,
     enumerate_nngs,  # noqa: F401  plan does not call it; bench/spans.py times it here
     first_supply_graph,
     supplier_tiers,
@@ -159,7 +159,8 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
     One exact search covers every supply graph.  Infeasibility is
     reported with a clique certificate when the greedy search finds
     one.  Raises ``BudgetExceededError`` when the coloring needs a
-    table past ``MAX_TABLE_ROWS``.
+    table past ``MAX_TABLE_ROWS`` or the supply-graph count has more
+    than ``rational.MAX_DIGITS`` digits.
     """
     require_valid(spec, strict=options.strict)
     expanded = expand_multifile(spec)
@@ -168,6 +169,7 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
     n = work.node_count
 
     tiers = supplier_tiers(work)
+    graphs = count_supply_graphs(tiers)
     shared = NearestNeighborGraph(work.node_ids, tuple(t.shared for t in tiers))
     h = build_extended_graph(shared)
     clique = conflict_clique(h, k)
@@ -187,7 +189,6 @@ def plan(spec: NetworkSpec, options: PlanOptions = PlanOptions()) -> PlanReport 
         covers = [(v, *t.forced, *t.tied) for v, t in enumerate(tiers) if t.picks < len(t.tied)]
         found = min_cost_coloring(h, costs, covers)
 
-    graphs = prod(comb(len(t.tied), t.picks) for t in tiers)
     solved = int(found is not None)
     stats = PlanStats(
         graphs=graphs, colorings=solved, assignments_solved=solved, assignments_pruned=0

@@ -11,7 +11,8 @@ average latency, and ``is_admissible`` checks a placement against one
 supply graph.  ``admissible_placements`` finds the placements that
 some supply graph admits by enumerating every supply graph and every
 coloring of it.  ``product_oracle`` is the
-oracle's exhaustive loop over every one of the k^slots placements,
+oracle's exhaustive loop over all k^slots slot functions, each
+placement counted once through its sibling-sorted representative,
 kept as the reference its depth-first search must reproduce.
 """
 
@@ -228,8 +229,10 @@ def product_oracle(
     spec: gp.NetworkSpec, mode: str, witness_caps: Sequence[int]
 ) -> tuple[gp.OracleResult, ...]:
     """``brute_force_placement`` at each witness cap, without its budget
-    or witness audit: every placement in ``itertools.product`` order is
-    tested against every admissibility check and, if it passes, scored."""
+    or witness audit: every slot function in ``itertools.product``
+    order whose sibling slots hold non-decreasing files (one per
+    placement) is counted in ``search_space``, tested against every
+    admissibility check and, if it passes, scored."""
     expanded = gp.expand_multifile(spec)
     work = expanded.network
     n = work.node_count
@@ -252,12 +255,16 @@ def product_oracle(
             if len(near) > 1:
                 checks.append((itemgetter(*near), sum, len(near)))
     order = [sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)]
+    follows = [s for g in expanded.groups for s in g[1:]]
 
     best = None
     optimal: list[tuple[int, ...]] = []
-    scored = 0
+    scored = space = 0
     onehot = [1 << j for j in range(k)]
     for files, bits in zip(product(range(k), repeat=n), product(onehot, repeat=n)):
+        if follows and any(files[s - 1] > files[s] for s in follows):
+            continue  # another slot function of the same placement
+        space += 1
         if any(combine(pick(bits)).bit_count() != count for pick, combine, count in checks):
             continue
         total = 0
@@ -287,12 +294,10 @@ def product_oracle(
         gp.OracleResult(
             best_value=None if best is None else Fraction(best, work.cost_scale),
             witnesses=tuple(
-                dict.fromkeys(
-                    expanded.project_placement(gp.Placement.from_files(files))
-                    for files in optimal[:cap]
-                )
+                expanded.project_placement(gp.Placement.from_files(files))
+                for files in optimal[:cap]
             ),
-            search_space=k**n,
+            search_space=space,
             scored=scored,
             mode=mode,
             witnesses_capped=len(optimal) > cap,

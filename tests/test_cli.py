@@ -430,6 +430,30 @@ def test_numbers_past_the_digit_budget_exit_5(tmp_path, capsys, value):
         assert err.startswith("budget exceeded:") and "1000 digits" in err
 
 
+def test_a_supply_graph_count_past_the_digit_budget_exits_5(tmp_path, capsys):
+    """A planted square, whose conflict graph is a K4, plus 246 nodes at
+    RTT 100 from every other node, k = 3: each of those picks 2 of 249
+    tied peers, so the supply-graph count has about 1,100 digits.  Plan
+    used to report the square as the certificate of infeasibility (exit
+    4), and with more nodes crashed while printing the count."""
+    n = 250
+    rtt = [[0 if u == v else 100 for v in range(n)] for u in range(n)]
+    for a in range(4):
+        for b in range(4):
+            if a != b:
+                rtt[a][b] = 14 if (a - b) % 4 == 2 else 10
+    spec = gp.make_spec([f"n{i}" for i in range(n)], rtt, [[F(1, 3 * n)] * 3] * n, 3)
+    path = tmp_path / "wide.json"
+    gp.save_spec(spec, str(path))
+    prefix = str(tmp_path / "wide")
+    for argv in (["plan"], ["export", "--all-nngs", "--out", prefix]):
+        assert cli.main([*argv, "--spec", str(path)]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("budget exceeded:") and "1000 digits" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_validate_refuses_an_expanded_id_collision(tmp_path, capsys):
     data = json.loads(Path(EX1).read_text())
     data["nodes"][0]["capacity"] = 2

@@ -23,7 +23,7 @@ F = Fraction
 SPEC_COUNT = 40
 RTT_DENOMINATORS = (1, 3, 7, 10)
 
-GOLDEN_SHA256 = "b21b0ef9dfc3464248cdee9968809d153ab711d05987de8bbd32c1d61b0723fc"
+GOLDEN_SHA256 = "4240641210ee5130f7ae43e25af0bca81d64a97d28507b033c3ae3447d69088e"
 
 
 def golden_spec(rng: random.Random) -> gp.NetworkSpec:

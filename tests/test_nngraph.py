@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -126,6 +127,40 @@ def test_enumerate_nngs_triangle_of_ties():
     assert enum.total == 8
     assert len({g.in_neighbors for g in enum.graphs}) == 8
     assert not enum.truncated
+
+
+def all_tied_spec(n):
+    """n nodes all at RTT 1 from each other, k = 3, uniform demands."""
+    rtt = [[int(u != v) for v in range(n)] for u in range(n)]
+    return gp.make_spec([f"t{i}" for i in range(n)], rtt, [[Fraction(1, 3 * n)] * 3] * n, 3)
+
+
+def test_a_capped_enumeration_is_the_start_of_the_full_one():
+    # 5 nodes, each picking 2 of 4 tied peers: 6^5 = 7,776 graphs
+    spec = all_tied_spec(5)
+    full = gp.enumerate_nngs(spec, cap=6**5)
+    assert full.total == len(full.graphs) == 6**5 and not full.truncated
+    for cap in (0, 1, 2, 6, 7, 37, 500):
+        enum = gp.enumerate_nngs(spec, cap=cap)
+        assert enum.graphs == full.graphs[:cap]
+        assert enum.truncated and enum.total == 6**5
+
+
+def test_a_capped_enumeration_lists_only_the_choices_it_needs():
+    """200 nodes, each picking 2 of 199 tied peers (19,701 ways, an
+    859-digit total).  Listing every node's combinations peaked near
+    290 MB; cap 1 needs each node's first two."""
+    spec = all_tied_spec(200)
+    tracemalloc.start()
+    try:
+        enum = gp.enumerate_nngs(spec, cap=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(enum.graphs) == 1 and enum.truncated
+    assert enum.graphs[0] == gp.build_nng(spec)
+    assert len(str(enum.total)) == 859
+    assert peak < 5_000_000
 
 
 def test_forced_and_tied_suppliers_mix():

@@ -268,8 +268,7 @@ def test_planner_equals_oracle_on_larger_geometric_networks():
 
 
 def test_oracle_rescores_each_reported_witness_once_on_the_given_spec(monkeypatch, ex1):
-    # a capacity-2 node's two slots can swap files, so a reported
-    # witness stands for up to four raw placements of the search
+    # capacities (2, 2, 1, 1) give four optimal placements
     spec = gp.make_spec(ex1.node_ids, ex1.rtt, ex1.demands, 3, capacities=(2, 2, 1, 1))
     calls = []
     real = gp.oracle.eval_uncoded
@@ -316,35 +315,32 @@ def test_witness_cap_zero_reports_no_witness():
         assert got.witnesses_capped == (got.best_value is not None)
 
 
-def test_sibling_orderings_count_as_slot_functions():
+def test_each_placement_counts_once():
     """Nodes A and B, capacity 2 each, at RTT 1; k = 2 and only file 0
-    is wanted (1/2 at each node).  Slots are A#1 A#2 B#1 B#2.
+    is wanted (1/2 at each node).  A node holds one of 00, 01 or 11, so
+    ``search_space`` is 3 * 3 = 9.
 
-    Admissible: each slot's nearest peer is its sibling, so A's slots
-    hold {0, 1} and so do B's.  That is one sibling-sorted placement,
-    (0 1 | 0 1), at average 0, standing for 2! * 2! = 4 slot functions:
-    ``scored`` is 4 and the cap cuts below 4.
+    Admissible: each slot's nearest peer is its sibling, so A holds
+    {0, 1} and so does B.  That is the one placement, (01 01), at
+    average 0: ``scored`` is 1 and it is the only witness.
 
-    Unrestricted: the 2^4 - 2 = 14 surjective slot functions are
-    scored.  Average 0 needs file 0 at both nodes.  The 8 optimal slot
-    functions in order are 0001 0010 0100 0101 0110 1000 1001 1010, so
-    the witnesses are (00 01), (01 00) and (01 01), in that order; the
-    first two slot functions are both (00 01), so cap 2 reports one
-    witness and cap 3 two."""
+    Unrestricted: the 9 - 2 = 7 placements that store both files are
+    scored.  Average 0 needs file 0 at both nodes, so the optimal
+    placements in order are (00 01), (01 00) and (01 01): cap 2 reports
+    the first two and says more exist."""
     half = F(1, 2)
     spec = gp.make_spec(["A", "B"], [[0, 1], [1, 0]], [[half, 0], [half, 0]], 2, capacities=(2, 2))
     both = ((0, 1), (0, 1))
-    for cap, capped in ((0, True), (1, True), (3, True), (4, False)):
+    for cap, capped in ((0, True), (1, False), (2, False)):
         res = gp.brute_force_placement(spec, witness_cap=cap)
-        assert (res.best_value, res.scored, res.search_space) == (0, 4, 16)
+        assert (res.best_value, res.scored, res.search_space) == (0, 1, 9)
         assert [w.files_by_node for w in res.witnesses] == [both][:cap]
         assert res.witnesses_capped == capped
     ordered = [((0, 0), (0, 1)), ((0, 1), (0, 0)), both]
-    cuts = ((0, 0, True), (1, 1, True), (2, 1, True), (3, 2, True), (8, 3, False))
-    for cap, count, capped in cuts:
+    for cap, capped in ((0, True), (1, True), (2, True), (3, False), (64, False)):
         res = gp.brute_force_placement(spec, "unrestricted", witness_cap=cap)
-        assert (res.best_value, res.scored) == (0, 14)
-        assert [w.files_by_node for w in res.witnesses] == ordered[:count]
+        assert (res.best_value, res.scored, res.search_space) == (0, 7, 9)
+        assert [w.files_by_node for w in res.witnesses] == ordered[:cap]
         assert res.witnesses_capped == capped
 
 
@@ -352,7 +348,7 @@ def test_sibling_sorted_search_equals_product_loop():
     """Sixty networks of 2 to 5 nodes with capacities 1 to 3 and k of 2
     or 3, so a node may hold more slots than there are files and its
     siblings then share one.  Both modes, at witness caps 0, 1, 2 and
-    64, against the product loop over every slot function."""
+    64, against the product loop over every sibling-sorted slot function."""
     rng = random.Random(331)
     caps = (0, 1, 2, 64)
     seen = {"capped": 0, "multi_witness": 0, "repeated_file": 0}
