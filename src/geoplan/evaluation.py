@@ -10,43 +10,67 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 
 from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
-from .model import NetworkSpec, Placement
+from .model import NetworkSpec, Placement, file_index
 from .nngraph import NearestNeighborGraph
 from .rational import frac_decimal, frac_str
 
 
 @dataclass(frozen=True)
 class LatencyReport:
-    """Fetch latencies of one storage configuration.
+    """Fetch latencies of one storage configuration, held as integers.
 
-    ``latencies[v][j]`` is node v's latency for file j; ``worst_case``
-    is the per-node max over files, ``wc_bounds`` the per-node floor no
-    configuration can beat, ``average`` the demand-weighted mean.
+    ``fetch[v][j] / scale`` is node v's latency for file j and
+    ``floors[v] / scale`` the per-node floor no configuration can beat
+    (``NetworkSpec.wc_floors``), where ``scale`` is the network's
+    ``rtt_scale``; ``average`` is the demand-weighted mean.  The audits
+    compare the integers.  ``latencies``, ``worst_case`` (the per-node
+    max over files) and ``wc_bounds`` are their ``Fraction`` views,
+    built on first use.
     """
 
     node_ids: tuple[str, ...]
     file_count: int
-    latencies: tuple[tuple[Fraction, ...], ...]
-    worst_case: tuple[Fraction, ...]
-    wc_bounds: tuple[Fraction, ...]
+    fetch: tuple[tuple[int, ...], ...]
+    floors: tuple[int, ...]
+    scale: int
     average: Fraction
+
+    @cached_property
+    def _exact(self) -> dict[int, Fraction]:
+        """One Fraction per distinct reported integer."""
+        values = {*chain.from_iterable(self.fetch), *self.floors}
+        return {t: Fraction(t, self.scale) for t in values}
+
+    @cached_property
+    def latencies(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(map(self._exact.__getitem__, row)) for row in self.fetch)
+
+    @cached_property
+    def worst_case(self) -> tuple[Fraction, ...]:
+        return tuple(self._exact[max(row)] for row in self.fetch)
+
+    @cached_property
+    def wc_bounds(self) -> tuple[Fraction, ...]:
+        return tuple(map(self._exact.__getitem__, self.floors))
 
     def meets_bounds(self) -> bool:
         """True when every node's worst case sits exactly on its floor."""
-        return self.worst_case == self.wc_bounds
+        return tuple(map(max, self.fetch)) == self.floors
 
     def to_dict(self) -> dict:
+        text = {t: frac_str(x) for t, x in self._exact.items()}
         return {
             "schema": "latency-report/1",
             "nodes": list(self.node_ids),
             "file_count": self.file_count,
-            "latencies": [[frac_str(x) for x in row] for row in self.latencies],
-            "worst_case": [frac_str(x) for x in self.worst_case],
-            "worst_case_bounds": [frac_str(x) for x in self.wc_bounds],
+            "latencies": [list(map(text.__getitem__, row)) for row in self.fetch],
+            "worst_case": [text[max(row)] for row in self.fetch],
+            "worst_case_bounds": list(map(text.__getitem__, self.floors)),
             "average": frac_str(self.average),
             "average_decimal": frac_decimal(self.average),
         }
@@ -72,7 +96,7 @@ def _as_placement(spec: NetworkSpec, placement) -> Placement:
                 f"node {spec.node_ids[v]} holds {len(files)} files, capacity is {spec.capacities[v]}"
             )
         for j in files:
-            if not 0 <= j < k:
+            if not 0 <= file_index(j) < k:
                 raise InvalidInputError(f"file index {j} out of range")
     return plc
 
@@ -81,38 +105,43 @@ def eval_uncoded(spec: NetworkSpec, placement) -> LatencyReport:
     """Evaluate a replica placement by direct nearest-holder lookup.
 
     Works for any placement filling every node to capacity with every
-    file held somewhere; no supply-graph restriction is applied.
+    file held somewhere; no supply-graph restriction is applied.  Each
+    node walks ``spec.nearest`` until every file has a holder, so a
+    tie goes to the lower node index.
     """
-    plc = _as_placement(spec, placement)
+    held = _as_placement(spec, placement).files_by_node
     k = spec.file_count
-    missing = set(range(k)) - set(plc.covered_files())
+    missing = set(range(k)).difference(*held)
     if missing:
         raise InvalidInputError(f"no node holds file {min(missing)}")
-    holders = [plc.holders(j) for j in range(k)]
-    servers = [
-        [min(holders[j], key=dist.__getitem__) for j in range(k)] for dist in spec.rtt_scaled
-    ]
-    return _finish_report(spec, servers)
+    fetch = []
+    for order, dist in zip(spec.nearest, spec.rtt_scaled):
+        row: list = [None] * k
+        left = k
+        for u in order:
+            for j in held[u]:
+                if row[j] is None:
+                    row[j] = dist[u]
+                    left -= 1
+            if not left:
+                break
+        fetch.append(row)
+    return _finish_report(spec, fetch)
 
 
-def _finish_report(spec: NetworkSpec, servers) -> LatencyReport:
-    """Report the fetches where ``servers[v][j]`` is the node whose
-    distance sets node v's latency for file j.
-
-    The average is one integer sum over ``spec.cost_scale``; a
-    ``Fraction`` is built once per distinct reported latency.
-    """
-    fetch = [[dist[u] for u in u_of] for u_of, dist in zip(servers, spec.rtt_scaled)]
+def _finish_report(spec: NetworkSpec, fetch) -> LatencyReport:
+    """Report the fetches where ``fetch[v][j]`` is node v's latency for
+    file j on the RTT scale.  The average is one integer sum over
+    ``spec.cost_scale``."""
     total = sum(
         t * p for row, weights in zip(fetch, spec.demands_scaled) for t, p in zip(row, weights)
     )
-    exact = {t: Fraction(t, spec.rtt_scale) for t in set(chain.from_iterable(fetch))}
     return LatencyReport(
         node_ids=spec.node_ids,
         file_count=spec.file_count,
-        latencies=tuple(tuple(map(exact.__getitem__, row)) for row in fetch),
-        worst_case=tuple(exact[max(row)] for row in fetch),
-        wc_bounds=spec.wc_bounds,
+        fetch=tuple(map(tuple, fetch)),
+        floors=spec.wc_floors,
+        scale=spec.rtt_scale,
         average=Fraction(total, spec.cost_scale),
     )
 
@@ -192,17 +221,16 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
     stored symbols decode j, i.e. whose generator columns span e_j
     (contacting itself is free).  The recovery vector is canonical:
     solve G x = e_j with the columns ordered by (RTT from v, node
-    index) and free entries zero.  Row reduction then picks pivots in
+    index), which is ``spec.nearest[v]``, and free entries zero.  Row reduction then picks pivots in
     distance order, so the vector's farthest nonzero entry lies on
     exactly that smallest radius.
     """
     f, matrix = _code_matrix(spec, code)
     n = spec.node_count
     k = spec.file_count
-    servers: list[list[int]] = []
+    fetch: list[list[int]] = []
     chosen: list[tuple[tuple[int, ...], ...]] = []
-    for v in range(n):
-        order = sorted(range(n), key=spec.rtt_scaled[v].__getitem__)
+    for order, dist in zip(spec.nearest, spec.rtt_scaled):
         particulars = solution_space(f, [[g[s] for s in order] for g in matrix])
         row = []
         picks = []
@@ -211,11 +239,11 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
             for s, c in zip(order, y):
                 x[s] = c
             farthest = max(i for i, c in enumerate(y) if c)
-            row.append(order[farthest])
+            row.append(dist[order[farthest]])
             picks.append(tuple(x))
-        servers.append(row)
+        fetch.append(row)
         chosen.append(tuple(picks))
-    report = _finish_report(spec, servers)
+    report = _finish_report(spec, fetch)
     plan = RecoveryPlan(node_ids=spec.node_ids, file_count=k, vectors=tuple(chosen))
     return report, plan
 

@@ -27,6 +27,13 @@ as ``NetworkSpec.validation``) runs the O(n^2) structural checks alone:
 node ids and capacities (an id the expansion would reuse included), the
 RTT matrix's shape, diagonal, sign and symmetry, and the demand
 matrix's shape, sign and sum.
+
+A spec computes what it derives once, on first use, and caches it on
+the spec object: ``validation``, the capacity expansion, ``nearest``
+(per node, every node in order of round-trip time, ties to the lower
+index) and ``wc_floors`` (the worst-case floors on the RTT scale).  The
+``Fraction`` views ``rtt``, ``demands`` and ``wc_bounds`` are cached
+the same way, for reports.
 """
 
 from __future__ import annotations
@@ -104,37 +111,47 @@ class NetworkSpec:
         return self.rtt_scale * self.demand_scale
 
     @cached_property
-    def wc_bounds(self) -> tuple[Fraction, ...]:
-        """Per-node floor on worst-case fetch latency.
+    def nearest(self) -> tuple[tuple[int, ...], ...]:
+        """Per node v, every node ordered by ``(rtt_scaled[v][u], u)``:
+        nearest first, ties to the lower index.  v is among the first
+        nodes at distance 0, not always the first.  Computed once per
+        spec object; the supply graphs, the worst-case floors and both
+        evaluators read it."""
+        nodes = range(self.node_count)
+        return tuple(tuple(sorted(nodes, key=row.__getitem__)) for row in self.rtt_scaled)
+
+    @cached_property
+    def wc_floors(self) -> tuple[int, ...]:
+        """Per-node floor on worst-case fetch latency, on the RTT scale.
 
         A node keeps at most its capacity locally; the remaining files
         must be produced by other nodes, and a node at distance t can
         account for at most its own capacity of them.  Walking outward
-        by distance, the floor is the distance at which the accumulated
-        capacity first covers everything.  Ties in distance count with
-        multiplicity.  The bound binds any placement and any code.
-        Computed once per spec object.
+        along ``nearest``, the floor is the distance at which the
+        accumulated capacity first covers everything.  Ties in distance
+        count with multiplicity.  The bound binds any placement and any
+        code.  Computed once per spec object.
         """
         k = self.file_count
-        n = self.node_count
-        bounds = []
-        for v in range(n):
+        floors = []
+        for v, (order, dist) in enumerate(zip(self.nearest, self.rtt_scaled)):
             need = k - self.capacities[v]
-            if need <= 0:
-                bounds.append(Fraction(0))
-                continue
-            dist = self.rtt_scaled[v]
-            got = 0
-            bound = None
-            for u in sorted((u for u in range(n) if u != v), key=dist.__getitem__):
-                got += self.capacities[u]
-                if got >= need:
-                    bound = Fraction(dist[u], self.rtt_scale)
+            floor = 0
+            for u in order:
+                if need <= 0:
                     break
-            if bound is None:
+                if u != v:
+                    need -= self.capacities[u]
+                    floor = dist[u]
+            if need > 0:
                 raise InvalidSpecError("network cannot hold every file once")
-            bounds.append(bound)
-        return tuple(bounds)
+            floors.append(floor)
+        return tuple(floors)
+
+    @cached_property
+    def wc_bounds(self) -> tuple[Fraction, ...]:
+        """``wc_floors`` as Fractions, built on first use."""
+        return tuple(Fraction(t, self.rtt_scale) for t in self.wc_floors)
 
     @cached_property
     def validation(self) -> ValidationResult:
@@ -397,6 +414,14 @@ def _demand_checks(spec: NetworkSpec) -> list[Violation]:
 # Placements
 
 
+def file_index(value) -> int:
+    """``value`` when it is an int and not a bool, else
+    ``InvalidInputError``: a file index is never truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"file index {value!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class Placement:
     """Files stored per node, one entry per storage slot (0-based files)."""
@@ -405,8 +430,9 @@ class Placement:
 
     @classmethod
     def from_files(cls, files: Iterable[int]) -> Placement:
-        """Unit-capacity shorthand: one file per node."""
-        return cls(tuple((int(f),) for f in files))
+        """Unit-capacity shorthand: one file per node.  Raises
+        ``InvalidInputError`` on a file index that is not an int."""
+        return cls(tuple((file_index(f),) for f in files))
 
     @property
     def is_unit(self) -> bool:

@@ -5,13 +5,14 @@ fetch every file it does not hold locally from one of its k-1 closest
 peers.  The directed nearest-neighbor graph records, per node v, an
 in-edge from each of the k-1 nodes with the smallest round-trip time to
 v.  Ties in round-trip time make several such graphs valid.  They are
-the per-node choices ``supplier_tiers`` describes, the only code here
-that compares round-trip times.  The planner works from those choices
-directly; ``enumerate_nngs`` lists the graphs themselves (for export),
-``build_nng`` returns the first of them, and ``first_supply_graph``
-the first that admits a given placement.  Every tie breaks toward the
-lower node index, as in ``export --all-nngs`` order: ``tied`` peers
-are listed by index and their combinations taken lexicographically.
+the per-node choices ``supplier_tiers`` describes, which it reads off
+``NetworkSpec.nearest``, the spec's one nearest-first order per node.
+The planner works from those choices directly; ``enumerate_nngs``
+lists the graphs themselves (for export), ``build_nng`` returns the
+first of them, and ``first_supply_graph`` the first that admits a
+given placement.  Every tie breaks toward the lower node index, as in
+``export --all-nngs`` order: ``tied`` peers are listed by index and
+their combinations taken lexicographically.
 
 The undirected extension joins every node to its chosen in-neighbors
 and additionally joins those in-neighbors pairwise, which turns every
@@ -23,6 +24,7 @@ planner searches for.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
@@ -133,16 +135,25 @@ class SupplierTier(NamedTuple):
 
 
 def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
-    """Per node, the forced and tied suppliers every supply graph is built from."""
+    """Per node, the forced and tied suppliers every supply graph is built from.
+
+    Node v's suppliers are read from ``spec.nearest[v]``, that is by
+    ``rtt_scaled[v][s]``, the row of v.  Every spec ``require_valid``
+    accepts is symmetric, so rows and columns agree; on an unvalidated
+    asymmetric matrix, v's suppliers are the peers nearest from v.
+    """
     _check_buildable(spec)
     need = spec.file_count - 1
+    if not need:
+        return (SupplierTier(0, (), (), 0),) * spec.node_count
     tiers = []
-    for v, column in enumerate(zip(*spec.rtt_scaled)):
-        others = [s for s in range(spec.node_count) if s != v]
-        threshold = sorted(column[s] for s in others)[need - 1] if need else 0
-        forced = tuple(s for s in others if column[s] < threshold)
-        tied = tuple(s for s in others if column[s] == threshold) if need else ()
-        tiers.append(SupplierTier(threshold, forced, tied, need - len(forced)))
+    for v, (order, dist) in enumerate(zip(spec.nearest, spec.rtt_scaled)):
+        others = [s for s in order if s != v]
+        threshold = dist[others[need - 1]]
+        start = bisect_left(others, threshold, hi=need - 1, key=dist.__getitem__)
+        end = bisect_right(others, threshold, lo=need, key=dist.__getitem__)
+        forced = tuple(sorted(others[:start]))
+        tiers.append(SupplierTier(threshold, forced, tuple(others[start:end]), need - start))
     return tuple(tiers)
 
 

@@ -105,7 +105,9 @@ def brute_force_placement(
         raise BudgetExceededError(f"{space} placements exceed the oracle budget of {budget}")
 
     rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
-    # per node: all nodes by distance, nearest first, index as tie-break
+    # per node: all nodes by distance, nearest first, index as tie-break;
+    # sorted here, not read from NetworkSpec.nearest, so the oracle shares
+    # no order with the planner
     order = [
         sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)
     ]

@@ -93,8 +93,10 @@ def unscale_matrix(rows, scale: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def frac_str(value: Fraction) -> str:
-    """Exact rendering: integers bare, everything else as "p/q"."""
-    return str(Fraction(value))
+    """Exact rendering: integers bare, everything else as "p/q".  A
+    Fraction renders as it is; any other value is read as
+    ``Fraction(value)`` first."""
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def frac_decimal(value: Fraction, places: int = 6) -> str:

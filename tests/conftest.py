@@ -124,3 +124,16 @@ def random_admissible_pair(rng, max_nodes=7, max_files=4):
             for v in members:
                 files[v] = perm[idx]
         return spec, nng, tuple(files)
+
+
+def random_full_placement(rng, spec):
+    """A random placement filling every slot of ``spec`` and holding
+    every file: files 0..k-1 on distinct random slots, the other slots
+    random."""
+    slots = [v for v, cap in enumerate(spec.capacities) for _ in range(cap)]
+    rng.shuffle(slots)
+    k = spec.file_count
+    files_by_node = [[] for _ in spec.capacities]
+    for i, v in enumerate(slots):
+        files_by_node[v].append(i if i < k else rng.randrange(k))
+    return gp.Placement(tuple(map(tuple, files_by_node)))

@@ -10,7 +10,11 @@ partitions; ``receive_side_avg`` is the receive-side form of the
 average latency, and ``is_admissible`` checks a placement against one
 supply graph.  ``admissible_placements`` finds the placements that
 some supply graph admits by enumerating every supply graph and every
-coloring of it.  ``product_oracle`` is the
+coloring of it.  ``column_sort_tiers``, ``sorted_walk_floors`` and
+``min_holder_fetch`` are the per-node supplier tiers, worst-case floors
+and nearest-holder latencies computed from their definitions, each with
+its own sort or ``min``, for the one shared ``NetworkSpec.nearest``
+order to reproduce.  ``product_oracle`` is the
 oracle's exhaustive loop over all k^slots slot functions, each
 placement counted once through its sibling-sorted representative,
 kept as the reference its depth-first search must reproduce.
@@ -29,6 +33,7 @@ from typing import Sequence
 import geoplan as gp
 from geoplan.assignment import _lex_min_zero_assignment
 from geoplan.evaluation import _as_placement
+from geoplan.nngraph import SupplierTier
 from geoplan.rational import to_fraction
 
 #: largest matrix brute_force_assignment will accept (k! blowup)
@@ -201,6 +206,49 @@ def receive_side_avg(spec: gp.NetworkSpec, nng: gp.NearestNeighborGraph, placeme
         for s in nng.closed_in(v):
             total += spec.rtt[s][v] * spec.demands[v][files[s]]
     return total
+
+
+def column_sort_tiers(spec: gp.NetworkSpec) -> tuple[SupplierTier, ...]:
+    """Per node v of a unit-capacity spec: the (k-1)-th smallest RTT to
+    v from a sort of v's column, the peers strictly closer, and the
+    peers at exactly that RTT, all by index."""
+    need = spec.file_count - 1
+    tiers = []
+    for v, column in enumerate(zip(*spec.rtt_scaled)):
+        others = [s for s in range(spec.node_count) if s != v]
+        threshold = sorted(column[s] for s in others)[need - 1] if need else 0
+        forced = tuple(s for s in others if column[s] < threshold)
+        tied = tuple(s for s in others if column[s] == threshold) if need else ()
+        tiers.append(SupplierTier(threshold, forced, tied, need - len(forced)))
+    return tuple(tiers)
+
+
+def sorted_walk_floors(spec: gp.NetworkSpec) -> tuple[int, ...]:
+    """Per node v, on the RTT scale: the distance at which the
+    capacities of v's peers, added nearest first, cover the files v
+    cannot keep (0 when v keeps them all)."""
+    floors = []
+    for v, dist in enumerate(spec.rtt_scaled):
+        need = spec.file_count - spec.capacities[v]
+        floor = 0
+        for u in sorted((u for u in range(spec.node_count) if u != v), key=dist.__getitem__):
+            if need <= 0:
+                break
+            need -= spec.capacities[u]
+            floor = dist[u]
+        floors.append(floor)
+    return tuple(floors)
+
+
+def min_holder_fetch(spec: gp.NetworkSpec, placement) -> tuple[tuple[int, ...], ...]:
+    """Per node v and file j, on the RTT scale: v's distance to the
+    nearest holder of j, found by ``min`` over the holders in index
+    order."""
+    plc = _as_placement(spec, placement)
+    holders = [plc.holders(j) for j in range(spec.file_count)]
+    return tuple(
+        tuple(dist[min(h, key=dist.__getitem__)] for h in holders) for dist in spec.rtt_scaled
+    )
 
 
 def admissible_placements(spec: gp.NetworkSpec) -> dict[tuple[int, ...], tuple[int, Fraction]]:

@@ -9,8 +9,9 @@ import pytest
 
 import geoplan as gp
 from geoplan.gf import field, matrix_rank
-from conftest import random_admissible_pair, random_spec
+from conftest import random_admissible_pair, random_full_placement, random_spec, tie_heavy_spec
 from crosscheck import receive_side_avg
+from geoplan.rational import frac_decimal, frac_str
 
 F = Fraction
 
@@ -103,6 +104,59 @@ def test_eval_uncoded_rejects_bad_shape(ex1):
         gp.eval_uncoded(ex1, (2, 1, 2))
     with pytest.raises(gp.InvalidInputError):
         gp.eval_uncoded(ex1, (2, 1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "placement",
+    [(1.5, 0, 2, 1), (True, 0, 2, 1), gp.Placement(((1.0,), (0,), (2,), (1,)))],
+    ids=["float", "bool", "float-in-placement"],
+)
+def test_eval_uncoded_refuses_a_file_index_that_is_not_an_int(ex1, placement):
+    with pytest.raises(gp.InvalidInputError, match="is not an integer"):
+        gp.eval_uncoded(ex1, placement)
+
+
+def _rendered_views(report):
+    """``report.to_dict()`` built from its Fraction views."""
+    return {
+        "schema": "latency-report/1",
+        "nodes": list(report.node_ids),
+        "file_count": report.file_count,
+        "latencies": [[frac_str(x) for x in row] for row in report.latencies],
+        "worst_case": [frac_str(x) for x in report.worst_case],
+        "worst_case_bounds": [frac_str(x) for x in report.wc_bounds],
+        "average": frac_str(report.average),
+        "average_decimal": frac_decimal(report.average),
+    }
+
+
+def test_integer_report_matches_its_fraction_views():
+    rng = random.Random(2102)
+    reports = []
+    for trial in range(40):
+        if trial % 2:
+            spec = tie_heavy_spec(rng, lambda net: True, multi=trial % 4 == 1)
+        else:
+            spec = random_spec(rng, multi=trial % 4 == 2)
+        reports.append((spec, gp.eval_uncoded(spec, random_full_placement(rng, spec))))
+        planned = gp.plan(spec)
+        if isinstance(planned, gp.PlanReport):
+            reports.append((spec, planned.latency))
+        work = gp.expand_multifile(spec).network
+        code = gp.mds_code(work.node_count, work.file_count)
+        reports.append((work, gp.eval_linear_code(work, code)[0]))
+    for spec, report in reports:
+        assert report.scale == spec.rtt_scale
+        assert report.floors == spec.wc_floors
+        assert report.wc_bounds == spec.wc_bounds
+        assert report.latencies == tuple(
+            tuple(F(t, spec.rtt_scale) for t in row) for row in report.fetch
+        )
+        assert report.worst_case == tuple(map(max, report.latencies))
+        assert report.meets_bounds() == (report.worst_case == report.wc_bounds)
+        assert report.to_dict() == _rendered_views(report)
+    outcomes = [report.meets_bounds() for _, report in reports]
+    assert True in outcomes and False in outcomes
 
 
 def test_worst_case_never_beats_bounds():

@@ -304,6 +304,10 @@ def test_placement_helpers():
     assert plc.holders(2) == (0, 2)
     assert plc.covered_files() == frozenset({0, 1, 2})
 
+    for bad in (1.5, True, 1.0, "1"):
+        with pytest.raises(gp.InvalidInputError, match="is not an integer"):
+            gp.Placement.from_files([2, bad, 2, 0])
+
     multi = gp.Placement(files_by_node=((0, 2), (1,)))
     assert not multi.is_unit
     with pytest.raises(gp.InvalidInputError):

@@ -91,6 +91,17 @@ def test_tie_break_is_lower_node_index():
     assert nng == gp.enumerate_nngs(spec).graphs[0]
 
 
+def test_supplier_tiers_read_each_nodes_row():
+    # unvalidated and asymmetric: reading rows, a's nearest peer is b, b's
+    # is c and c's is a; the columns would give c, a and b
+    spec = gp.make_spec(
+        ("a", "b", "c"), ((0, 1, 5), (9, 0, 2), (3, 4, 0)), [[Fraction(1, 6)] * 2] * 3, 2
+    )
+    assert not gp.validate_spec(spec).ok
+    assert gp.build_nng(spec).in_neighbors == ((1,), (2,), (0,))
+    assert [t.threshold for t in supplier_tiers(spec)] == [1, 2, 3]
+
+
 def test_enumerate_nngs_without_ties_is_single(ex1):
     rng = random.Random(13)
     for _ in range(10):

@@ -22,6 +22,11 @@ for spec in (ex1, multi):
     report = gp.plan(spec)
     print(json.dumps(report.to_dict(), sort_keys=True))
     print(json.dumps(gp.verify_plan(spec, report).to_dict(), sort_keys=True))
+for files in ((2, 1, 2, 0), (0, 1, 2, 0)):
+    report = gp.eval_uncoded(ex1, files)
+    print(report.meets_bounds(), json.dumps(report.to_dict(), sort_keys=True))
+report, recovery = gp.eval_linear_code(ex1, gp.mds_code(4, 3))
+print(report.meets_bounds(), json.dumps(report.to_dict(), sort_keys=True))
 """
 
 
@@ -48,3 +53,4 @@ def test_optimized_mode_renders_the_same_reports():
     assert debug == "True"
     assert optimized == f"False\n{reports}"
     assert reports.count('"status": "verified"') == 2
+    assert [line.split(" ", 1)[0] for line in reports.splitlines()[-3:]] == ["True", "False", "True"]
