@@ -7,10 +7,11 @@ the probability that the next request system-wide originates at node v
 and asks for file j, so the demand matrix sums to one over the whole
 network, not per row.
 
-Each cell is parsed once, to an integer pair (``rational.to_ratio``),
-and each matrix is held once, as exact integers over the least common
-multiple of its denominators, so equal networks are equal specs; its
-``Fraction`` view is built only when something reports it.
+Each distinct cell literal of a matrix is parsed once, to an integer
+pair (``rational.to_ratio``), and each matrix is held once, as exact
+integers over the least common multiple of its denominators, so equal
+networks are equal specs; its ``Fraction`` view is built only when
+something reports it.
 
 Nodes with capacity above one are reduced to unit-capacity sub-nodes:
 the sub-nodes of one node sit at round-trip time zero from each other,
@@ -446,14 +447,6 @@ class Placement:
 
     def as_single_files(self) -> tuple[int, ...]:
         return tuple(self.single(v) for v in range(len(self.files_by_node)))
-
-    def holders(self, file_index: int) -> tuple[int, ...]:
-        return tuple(
-            v for v, slots in enumerate(self.files_by_node) if file_index in slots
-        )
-
-    def covered_files(self) -> frozenset[int]:
-        return frozenset(f for slots in self.files_by_node for f in slots)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,25 @@ them.  The hot paths sum and compare those integers (see
 `NetworkSpec.cost_scale`) and build a `Fraction` only where a value is
 reported.  Floats only appear at ingestion and are read through their
 shortest decimal representation.
+
+An RTT matrix is symmetric and its cells are rounded distances, so most
+of its string cells repeat.  ``scaled_rows`` therefore parses each
+distinct literal of a matrix once, within one call and for string cells
+only: hashing a ``Fraction`` costs more than reading its ratio, and
+cells of other types can compare equal yet parse differently (``True ==
+1``, the float ``0.1`` and its exact binary ``Fraction``).
+
+A string literal with a run of more than ``MAX_DIGITS`` digits is
+refused before any conversion, so the interpreter's own limit on
+integer string conversion (4,300 digits by default) is never what
+stops it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 
 from .errors import BudgetExceededError
@@ -23,6 +36,8 @@ from .errors import BudgetExceededError
 #: every derived value stays well inside what ``str(int)`` prints (4,300).
 MAX_DIGITS = 1000
 _BOUND = 10**MAX_DIGITS  # built once: each power costs microseconds
+#: A run of digits, single underscores allowed between them as ``int`` does.
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 
 def to_ratio(value) -> tuple[int, int]:
@@ -32,9 +47,15 @@ def to_ratio(value) -> tuple[int, int]:
     Strings may be decimal literals ("0.025") or ratios ("1/40").
     Floats are interpreted via their decimal repr, so 0.025 means
     exactly 1/40 rather than the nearest binary double.  A zero
-    denominator is a ValueError, like any other malformed literal.
+    denominator is a ValueError, like any other malformed literal.  A
+    string with a run of more than ``MAX_DIGITS`` digits raises
+    ``BudgetExceededError`` before any conversion, whatever its value.
     """
     if isinstance(value, str):
+        if len(value) > MAX_DIGITS and any(
+            len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(value)
+        ):
+            raise BudgetExceededError(f"a number literal has more than {MAX_DIGITS} digits")
         # plain digits and "p/q" skip Fraction's literal parser
         num, slash, den = value.partition("/")
         if num.isdecimal() and (den.isdecimal() or not slash):
@@ -66,16 +87,35 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     Returns ``(rows, scale)``: ``rows[i][j] / scale`` is
     ``to_ratio(matrix[i][j])``, rows keep their lengths, and ``scale``
     is the lcm of the reduced denominators, so equal matrices give equal
-    pairs.  Each cell is parsed once, and the first bad cell in
-    row-major order raises.  A scale or a cell of more than
-    ``MAX_DIGITS`` digits raises ``BudgetExceededError``.
+    pairs.  When every cell is exactly a ``str``, each distinct literal
+    is parsed once, in row-major order of first use; any other matrix
+    is parsed once per cell (see the module docstring for why).  The
+    memo lives for this call only.  The first bad cell in row-major
+    order raises.  A scale or a cell of more than ``MAX_DIGITS`` digits
+    raises ``BudgetExceededError``.
     """
-    ratios = [list(map(to_ratio, row)) for row in matrix]
-    scale = lcm(*{q for row in ratios for _, q in row})
-    rows, scale = lowest_terms([[p * (scale // q) for p, q in row] for row in ratios], scale)
-    if max(map(abs, chain((scale,), *rows))) >= _BOUND:
+    rows = []
+    try:
+        for row in matrix:
+            rows.append(tuple(row))
+    except TypeError:  # a row that is not iterable: earlier bad cells raise first
+        for cell in chain.from_iterable(rows):
+            to_ratio(cell)
+        raise
+    cells = [*chain.from_iterable(rows)]
+    literal = {*map(type, cells)} == {str}
+    if literal:
+        cells = [*dict.fromkeys(cells)]
+    else:  # keyed by row-major position
+        starts = accumulate(map(len, rows), initial=0)
+        rows = [range(start, start + len(row)) for start, row in zip(starts, rows)]
+    ratios = [*map(to_ratio, cells)]
+    scale = lcm(*{q for _, q in ratios})
+    (values,), scale = lowest_terms([[p * (scale // q) for p, q in ratios]], scale)
+    if max(map(abs, chain((scale,), values))) >= _BOUND:
         raise BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
-    return rows, scale
+    value = dict(zip(cells, values)) if literal else values
+    return tuple(tuple(map(value.__getitem__, row)) for row in rows), scale
 
 
 def lowest_terms(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -18,6 +18,9 @@ order to reproduce.  ``product_oracle`` is the
 oracle's exhaustive loop over all k^slots slot functions, each
 placement counted once through its sibling-sorted representative,
 kept as the reference its depth-first search must reproduce.
+``per_cell_scaled_rows`` parses every matrix cell on its own, the
+definition ``geoplan.rational.scaled_rows`` must reproduce while it
+parses each distinct string literal once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import lcm
 from operator import itemgetter, or_
 from typing import Sequence
@@ -34,7 +37,7 @@ import geoplan as gp
 from geoplan.assignment import _lex_min_zero_assignment
 from geoplan.evaluation import _as_placement
 from geoplan.nngraph import SupplierTier
-from geoplan.rational import to_fraction
+from geoplan.rational import _BOUND, MAX_DIGITS, lowest_terms, to_fraction, to_ratio
 
 #: largest matrix brute_force_assignment will accept (k! blowup)
 BRUTE_FORCE_LIMIT = 9
@@ -244,8 +247,8 @@ def min_holder_fetch(spec: gp.NetworkSpec, placement) -> tuple[tuple[int, ...], 
     """Per node v and file j, on the RTT scale: v's distance to the
     nearest holder of j, found by ``min`` over the holders in index
     order."""
-    plc = _as_placement(spec, placement)
-    holders = [plc.holders(j) for j in range(spec.file_count)]
+    by_node = _as_placement(spec, placement).files_by_node
+    holders = [[v for v, slots in enumerate(by_node) if j in slots] for j in range(spec.file_count)]
     return tuple(
         tuple(dist[min(h, key=dist.__getitem__)] for h in holders) for dist in spec.rtt_scaled
     )
@@ -352,3 +355,15 @@ def product_oracle(
         )
         for cap in witness_caps
     )
+
+
+def per_cell_scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``scaled_rows`` by its definition: one ``to_ratio`` per cell in
+    row-major order, the lcm of the denominators, one gcd reduction and
+    the ``MAX_DIGITS`` bound over every cell."""
+    ratios = [list(map(to_ratio, row)) for row in matrix]
+    scale = lcm(*{q for row in ratios for _, q in row})
+    rows, scale = lowest_terms([[p * (scale // q) for p, q in row] for row in ratios], scale)
+    if max(map(abs, chain((scale,), *rows))) >= _BOUND:
+        raise gp.BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
+    return rows, scale

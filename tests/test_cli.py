@@ -430,6 +430,39 @@ def test_numbers_past_the_digit_budget_exit_5(tmp_path, capsys, value):
         assert err.startswith("budget exceeded:") and "1000 digits" in err
 
 
+@pytest.mark.parametrize("where", ["json-rtt", "rtt-csv", "files", "capacity"])
+@pytest.mark.parametrize(
+    "literal",
+    ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, "1." + "0" * 5000],
+    ids=["digits", "negative", "denominator", "decimal"],
+)
+def test_literals_past_the_conversion_limit_exit_5(tmp_path, capsys, where, literal):
+    """Literals longer than the interpreter's 4,300-digit limit on integer
+    string conversion are refused by the digit budget, not by int()."""
+    data = json.loads(Path(EX1).read_text())
+    extra = []
+    if where == "json-rtt":
+        data["rtt"][0][1] = data["rtt"][1][0] = literal
+    elif where == "rtt-csv":
+        rows = [[str(x) for x in row] for row in data["rtt"]]
+        rows[0][1] = rows[1][0] = literal
+        csv_file = tmp_path / "rtt.csv"
+        csv_file.write_text("".join(",".join(row) + "\n" for row in rows))
+        extra = ["--rtt-csv", str(csv_file)]
+    elif where == "files":
+        data["files"] = literal
+    else:
+        data["nodes"][0]["capacity"] = literal
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    for command in ("validate", "plan"):
+        assert cli.main([command, "--spec", str(path), *extra]) == 5
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("budget exceeded:") and "1000 digits" in err
+        assert len(err) < 200
+
+
 def test_a_supply_graph_count_past_the_digit_budget_exits_5(tmp_path, capsys):
     """A planted square, whose conflict graph is a K4, plus 246 nodes at
     RTT 100 from every other node, k = 3: each of those picks 2 of 249

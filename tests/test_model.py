@@ -301,8 +301,6 @@ def test_placement_helpers():
     plc = gp.Placement.from_files([2, 1, 2, 0])
     assert plc.is_unit
     assert plc.as_single_files() == (2, 1, 2, 0)
-    assert plc.holders(2) == (0, 2)
-    assert plc.covered_files() == frozenset({0, 1, 2})
 
     for bad in (1.5, True, 1.0, "1"):
         with pytest.raises(gp.InvalidInputError, match="is not an integer"):

@@ -1,8 +1,15 @@
+import math
+import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from geoplan.rational import frac_decimal, frac_str, to_fraction, to_ratio
+import geoplan.rational
+from crosscheck import per_cell_scaled_rows
+from geoplan.errors import BudgetExceededError
+from geoplan.rational import MAX_DIGITS, frac_decimal, frac_str, scaled_rows, to_fraction, to_ratio
 
 
 def test_decimal_string_is_exact():
@@ -84,3 +91,110 @@ def test_zero_denominator_is_a_value_error():
     for text in ("1/0", "0/0", " 7/000 ", "1_0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             to_fraction(text)
+
+
+def test_long_digit_runs_are_refused_before_conversion():
+    """A run of more than MAX_DIGITS digits is a budget refusal whatever
+    the interpreter's own limit on integer string conversion; runs of at
+    most MAX_DIGITS digits parse as before."""
+    long_runs = (
+        "1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, "1_" * 5000 + "1",
+        "1." + "0" * 2000, "1e" + "1" * 5000, "1" * (MAX_DIGITS + 1), "x" + "1" * 5000,
+    )
+    kept = {
+        "9" * MAX_DIGITS: (10**MAX_DIGITS - 1, 1),
+        "1" * 600 + "/" + "1" * 600: (int("1" * 600), int("1" * 600)),
+        "1_" * 999 + "1": (int("1" * 1000), 1),
+        "0." + "0" * 999 + "1": (1, 10**1000),
+    }
+    old_limit = sys.get_int_max_str_digits()
+    try:
+        for limit in (old_limit, 0):
+            sys.set_int_max_str_digits(limit)
+            for text in long_runs:
+                with pytest.raises(BudgetExceededError, match=f"more than {MAX_DIGITS} digits"):
+                    to_ratio(text)
+            for text, (p, q) in kept.items():
+                assert Fraction(*to_ratio(text)) == Fraction(p, q)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+
+
+# --- scaled_rows: one parse per distinct string literal -------------------
+
+
+def bench_shaped(rng: random.Random, n: int, k: int) -> tuple[list[list[str]], list[list[str]]]:
+    """An RTT matrix of plane distances in tenths and a demand matrix of
+    random weights over their total, both as strings, as the benchmark
+    and the README write them."""
+    points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+    rtt = [[str(Fraction(round(math.dist(a, b) * 10), 10)) for b in points] for a in points]
+    weights = [[rng.randint(1, 20) for _ in range(k)] for _ in range(n)]
+    total = sum(map(sum, weights))
+    return rtt, [[str(Fraction(w, total)) for w in row] for row in weights]
+
+
+def outcome(fn, matrix):
+    try:
+        return fn(matrix)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_scaled_rows_matches_the_per_cell_definition():
+    rng = random.Random(22)
+    matrices = []
+    for _ in range(40):
+        rtt, demands = bench_shaped(rng, rng.randint(2, 30), rng.randint(2, 4))
+        matrices += [rtt, demands]
+    big = "1" + "0" * MAX_DIGITS
+    matrices += [
+        [["1/2", "0.5"], ["2/4", " 1/2 "]],
+        [[1, True], ["1", 1]],
+        [[True, 1]],
+        [["1", Decimal("1")]],
+        [[Decimal("1"), "1"]],
+        [[0.1, Fraction(0.1)], [Fraction(0.1), 0.1]],
+        [["0.1", 0.1]],
+        [["1", [2]]],
+        [["1", "2"], ["3", {"4": 5}]],
+        [["1", "x"], ["y", "2"]],
+        [["1", "x"], [None, "2"]],
+        [[None, "x"]],
+        [["x", "1"], 5],
+        [["1", "2"], 5],
+        [[big, "1"], ["1", big]],
+        [[f"1/{10**(MAX_DIGITS - 1)}"] * 3] * 2,
+        [["1e-600", "1e-600"], [10**600, "1"]],
+        [["1/0", "1/0"]],
+        [],
+        [[]],
+        [[], []],
+        [["1"], ["1", "2/3", "3"], []],
+        [[1], [Fraction(1, 3), 2, 3], []],
+    ]
+    for matrix in matrices:
+        expected = outcome(per_cell_scaled_rows, matrix)
+        assert outcome(scaled_rows, matrix) == expected, matrix
+
+
+def test_scaled_rows_parses_each_distinct_literal_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return to_ratio(value)
+
+    monkeypatch.setattr(geoplan.rational, "to_ratio", counted)
+    rtt, _ = bench_shaped(random.Random(3), 30, 2)
+    distinct = set().union(*rtt)
+    assert len(distinct) < 30 * 30 / 2
+    expected = per_cell_scaled_rows(rtt)
+    for _ in range(2):  # nothing is kept from one call to the next
+        calls.clear()
+        assert scaled_rows(rtt) == expected
+        assert sorted(calls) == sorted(distinct)
+    fractions = [[Fraction(cell) for cell in row] for row in rtt]
+    calls.clear()
+    assert scaled_rows(fractions) == expected
+    assert len(calls) == 30 * 30
