@@ -17,17 +17,17 @@ only: hashing a ``Fraction`` costs more than reading its ratio, and
 cells of other types can compare equal yet parse differently (``True ==
 1``, the float ``0.1`` and its exact binary ``Fraction``).
 
-A string literal with a run of more than ``MAX_DIGITS`` digits is
-refused before any conversion, so the interpreter's own limit on
-integer string conversion (4,300 digits by default) is never what
-stops it.
+A well-formed string literal with a run of more than ``MAX_DIGITS``
+digits is refused before any conversion, so the interpreter's own limit
+on integer string conversion (4,300 digits by default) is never what
+stops it; a malformed string is an input error at any length.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain, islice
 from math import gcd, lcm
 
 from .errors import BudgetExceededError
@@ -48,13 +48,12 @@ def to_ratio(value) -> tuple[int, int]:
     Floats are interpreted via their decimal repr, so 0.025 means
     exactly 1/40 rather than the nearest binary double.  A zero
     denominator is a ValueError, like any other malformed literal.  A
-    string with a run of more than ``MAX_DIGITS`` digits raises
-    ``BudgetExceededError`` before any conversion, whatever its value.
+    well-formed string with a run of more than ``MAX_DIGITS`` digits
+    raises ``BudgetExceededError`` before any conversion, whatever its
+    value; a malformed one is a ValueError at any length.
     """
     if isinstance(value, str):
-        if len(value) > MAX_DIGITS and any(
-            len(run) - run.count("_") > MAX_DIGITS for run in _DIGIT_RUN.findall(value)
-        ):
+        if len(value) > MAX_DIGITS and _over_long(value):
             raise BudgetExceededError(f"a number literal has more than {MAX_DIGITS} digits")
         # plain digits and "p/q" skip Fraction's literal parser
         num, slash, den = value.partition("/")
@@ -74,6 +73,20 @@ def to_ratio(value) -> tuple[int, int]:
     if isinstance(value, (int, Fraction)):
         return value.as_integer_ratio()
     raise TypeError(f"cannot interpret {value!r} as a rational number")
+
+
+def _over_long(text: str) -> bool:
+    """Whether ``text`` has a run of more than ``MAX_DIGITS`` digits and
+    is a well-formed literal.  The shape is checked on a copy with every
+    run cut to one digit, so no long run is ever converted; a malformed
+    string is left to the parser's own ValueError, whatever its length."""
+    if all(len(run) - run.count("_") <= MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+        return False
+    try:
+        Fraction(_DIGIT_RUN.sub("1", text).strip())
+    except ValueError:
+        return False
+    return True
 
 
 def to_fraction(value) -> Fraction:
@@ -103,19 +116,20 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
             to_ratio(cell)
         raise
     cells = [*chain.from_iterable(rows)]
-    literal = {*map(type, cells)} == {str}
+    # the first cell settles a bare-number matrix without a per-cell scan
+    literal = bool(cells) and type(cells[0]) is str and {*map(type, cells)} == {str}
     if literal:
         cells = [*dict.fromkeys(cells)]
-    else:  # keyed by row-major position
-        starts = accumulate(map(len, rows), initial=0)
-        rows = [range(start, start + len(row)) for start, row in zip(starts, rows)]
     ratios = [*map(to_ratio, cells)]
     scale = lcm(*{q for _, q in ratios})
     (values,), scale = lowest_terms([[p * (scale // q) for p, q in ratios]], scale)
     if max(map(abs, chain((scale,), values))) >= _BOUND:
         raise BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
-    value = dict(zip(cells, values)) if literal else values
-    return tuple(tuple(map(value.__getitem__, row)) for row in rows), scale
+    if literal:
+        value = dict(zip(cells, values)).__getitem__
+        return tuple(tuple(map(value, row)) for row in rows), scale
+    values = iter(values)  # row-major, one value per cell
+    return tuple(tuple(islice(values, len(row))) for row in rows), scale
 
 
 def lowest_terms(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:

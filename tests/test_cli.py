@@ -463,6 +463,18 @@ def test_literals_past_the_conversion_limit_exit_5(tmp_path, capsys, where, lite
         assert len(err) < 200
 
 
+def test_a_malformed_long_literal_is_an_input_error(tmp_path, capsys):
+    """Only a well-formed literal is refused by the digit budget; a
+    malformed one is an input error however many digits it holds."""
+    data = json.loads(Path(EX1).read_text())
+    data["rtt"][0][1] = data["rtt"][1][0] = "x" + "1" * 5000
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["validate", "--spec", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Invalid literal" in err
+
+
 def test_a_supply_graph_count_past_the_digit_budget_exits_5(tmp_path, capsys):
     """A planted square, whose conflict graph is a K4, plus 246 nodes at
     RTT 100 from every other node, k = 3: each of those picks 2 of 249

@@ -94,13 +94,15 @@ def test_zero_denominator_is_a_value_error():
 
 
 def test_long_digit_runs_are_refused_before_conversion():
-    """A run of more than MAX_DIGITS digits is a budget refusal whatever
-    the interpreter's own limit on integer string conversion; runs of at
-    most MAX_DIGITS digits parse as before."""
+    """A well-formed literal with a run of more than MAX_DIGITS digits is
+    a budget refusal whatever the interpreter's own limit on integer
+    string conversion; a malformed one stays a ValueError at any length;
+    runs of at most MAX_DIGITS digits parse as before."""
     long_runs = (
         "1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, "1_" * 5000 + "1",
-        "1." + "0" * 2000, "1e" + "1" * 5000, "1" * (MAX_DIGITS + 1), "x" + "1" * 5000,
+        "1." + "0" * 2000, "1e" + "1" * 5000, "1" * (MAX_DIGITS + 1), "1/" + "0" * 5000,
     )
+    malformed = ("x" + "1" * 5000, "1" * 5000 + "/", "1__" + "1" * 5000, "1" * 5000 + "x")
     kept = {
         "9" * MAX_DIGITS: (10**MAX_DIGITS - 1, 1),
         "1" * 600 + "/" + "1" * 600: (int("1" * 600), int("1" * 600)),
@@ -113,6 +115,9 @@ def test_long_digit_runs_are_refused_before_conversion():
             sys.set_int_max_str_digits(limit)
             for text in long_runs:
                 with pytest.raises(BudgetExceededError, match=f"more than {MAX_DIGITS} digits"):
+                    to_ratio(text)
+            for text in malformed:
+                with pytest.raises(ValueError, match="Invalid literal"):
                     to_ratio(text)
             for text, (p, q) in kept.items():
                 assert Fraction(*to_ratio(text)) == Fraction(p, q)
@@ -146,7 +151,9 @@ def test_scaled_rows_matches_the_per_cell_definition():
     matrices = []
     for _ in range(40):
         rtt, demands = bench_shaped(rng, rng.randint(2, 30), rng.randint(2, 4))
-        matrices += [rtt, demands]
+        # the same values as bare JSON numbers read with parse_float=Fraction
+        bare = [[Fraction(cell) if "/" in cell else int(cell) for cell in row] for row in rtt]
+        matrices += [rtt, demands, bare, [list(map(Fraction, row)) for row in demands]]
     big = "1" + "0" * MAX_DIGITS
     matrices += [
         [["1/2", "0.5"], ["2/4", " 1/2 "]],
