@@ -29,6 +29,7 @@ from .model import (
     Placement,
     expand_multifile,
     load_spec,
+    require_int,
     require_valid,
     validate_spec,
 )
@@ -154,9 +155,7 @@ def _read_placement(path: str, spec: NetworkSpec) -> Placement:
             raise InvalidInputError(f"bad placement entry {entry!r}") from exc
         if not isinstance(node_id, str) or node_id not in by_node:
             raise InvalidInputError(f"unknown node id {node_id!r} in placement")
-        if isinstance(j, bool) or not isinstance(j, int):
-            raise InvalidInputError(f"file index {j!r} of node {node_id!r} is not an integer")
-        by_node[node_id].append(j)
+        by_node[node_id].append(require_int(j, f"node {node_id!r} file index"))
     return Placement(files_by_node=tuple(tuple(by_node[i]) for i in spec.node_ids))
 
 

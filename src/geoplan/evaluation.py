@@ -15,7 +15,7 @@ from itertools import chain
 
 from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
-from .model import NetworkSpec, Placement, file_index
+from .model import NetworkSpec, Placement, require_int
 from .nngraph import NearestNeighborGraph
 from .rational import frac_decimal, frac_str
 
@@ -76,13 +76,6 @@ class LatencyReport:
         }
 
 
-def wc_lower_bounds(spec: NetworkSpec) -> tuple[Fraction, ...]:
-    """Per-node floor on worst-case fetch latency, cached on the spec
-    (see ``NetworkSpec.wc_bounds``).  The bound binds any placement
-    and any code."""
-    return spec.wc_bounds
-
-
 def _as_placement(spec: NetworkSpec, placement) -> Placement:
     plc = placement if isinstance(placement, Placement) else Placement.from_files(placement)
     if len(plc.files_by_node) != spec.node_count:
@@ -96,7 +89,7 @@ def _as_placement(spec: NetworkSpec, placement) -> Placement:
                 f"node {spec.node_ids[v]} holds {len(files)} files, capacity is {spec.capacities[v]}"
             )
         for j in files:
-            if not 0 <= file_index(j) < k:
+            if not 0 <= require_int(j, "file index") < k:
                 raise InvalidInputError(f"file index {j} out of range")
     return plc
 
@@ -173,12 +166,11 @@ class LinearCode:
     def from_dict(cls, data: dict) -> "LinearCode":
         try:
             q = data["q"]
-            gen = tuple(tuple(int(x) for x in row) for row in data["generator"])
-        except (KeyError, TypeError, ValueError) as exc:
+            gen = tuple(tuple(require_int(x, "generator entry") for x in row)
+                        for row in data["generator"])
+        except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed code description: {exc}") from exc
-        if not isinstance(q, int):
-            raise InvalidInputError("field order q must be an integer")
-        return cls(field_order=q, generator=gen)
+        return cls(field_order=require_int(q, "field order q"), generator=gen)
 
 
 @dataclass(frozen=True)

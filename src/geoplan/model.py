@@ -11,7 +11,8 @@ Each distinct cell literal of a matrix is parsed once, to an integer
 pair (``rational.to_ratio``), and each matrix is held once, as exact
 integers over the least common multiple of its denominators, so equal
 networks are equal specs; its ``Fraction`` view is built only when
-something reports it.
+something reports it.  ``load_spec`` keeps every JSON number the text
+it is written as, so bare and quoted numbers read alike.
 
 Nodes with capacity above one are reduced to unit-capacity sub-nodes:
 the sub-nodes of one node sit at round-trip time zero from each other,
@@ -33,8 +34,8 @@ A spec computes what it derives once, on first use, and caches it on
 the spec object: ``validation``, the capacity expansion, ``nearest``
 (per node, every node in order of round-trip time, ties to the lower
 index) and ``wc_floors`` (the worst-case floors on the RTT scale).  The
-``Fraction`` views ``rtt``, ``demands`` and ``wc_bounds`` are cached
-the same way, for reports.
+``Fraction`` views ``rtt`` and ``demands`` are cached the same way, for
+reports.
 """
 
 from __future__ import annotations
@@ -148,11 +149,6 @@ class NetworkSpec:
                 raise InvalidSpecError("network cannot hold every file once")
             floors.append(floor)
         return tuple(floors)
-
-    @cached_property
-    def wc_bounds(self) -> tuple[Fraction, ...]:
-        """``wc_floors`` as Fractions, built on first use."""
-        return tuple(Fraction(t, self.rtt_scale) for t in self.wc_floors)
 
     @cached_property
     def validation(self) -> ValidationResult:
@@ -415,11 +411,11 @@ def _demand_checks(spec: NetworkSpec) -> list[Violation]:
 # Placements
 
 
-def file_index(value) -> int:
+def require_int(value, what: str) -> int:
     """``value`` when it is an int and not a bool, else
-    ``InvalidInputError``: a file index is never truncated or coerced."""
+    ``InvalidInputError`` naming it ``what``: never truncated or coerced."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInputError(f"file index {value!r} is not an integer")
+        raise InvalidInputError(f"{what} {value!r} is not an integer")
     return value
 
 
@@ -433,7 +429,7 @@ class Placement:
     def from_files(cls, files: Iterable[int]) -> Placement:
         """Unit-capacity shorthand: one file per node.  Raises
         ``InvalidInputError`` on a file index that is not an int."""
-        return cls(tuple((file_index(f),) for f in files))
+        return cls(tuple((require_int(f, "file index"),) for f in files))
 
     @property
     def is_unit(self) -> bool:
@@ -575,9 +571,10 @@ def load_spec(
     rtt_csv: str | None = None,
     demands_csv: str | None = None,
 ) -> NetworkSpec:
-    """Load a network from JSON, optionally overriding matrices from CSV."""
+    """Load a network from JSON, every number kept as the text it is
+    written as, optionally overriding matrices from CSV."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_float=Fraction)
+        data = json.load(fh, parse_int=str, parse_float=str)
     spec = spec_from_dict(data)
     scaled = {}
     if rtt_csv is not None:

@@ -7,8 +7,8 @@ report values can be compared for exact equality.  ``to_ratio`` is the
 one parser and ``lowest_terms`` the one reduction; ``scaled_rows`` joins
 them.  The hot paths sum and compare those integers (see
 `NetworkSpec.cost_scale`) and build a `Fraction` only where a value is
-reported.  Floats only appear at ingestion and are read through their
-shortest decimal representation.
+reported.  Input files reach ``to_ratio`` as text; in-process floats
+are read through their shortest decimal representation.
 
 An RTT matrix is symmetric and its cells are rounded distances, so most
 of its string cells repeat.  ``scaled_rows`` therefore parses each
@@ -17,9 +17,9 @@ only: hashing a ``Fraction`` costs more than reading its ratio, and
 cells of other types can compare equal yet parse differently (``True ==
 1``, the float ``0.1`` and its exact binary ``Fraction``).
 
-A well-formed string literal with a run of more than ``MAX_DIGITS``
-digits is refused before any conversion, so the interpreter's own limit
-on integer string conversion (4,300 digits by default) is never what
+A well-formed string literal whose digit run or exponent takes it past
+``MAX_DIGITS`` digits is refused before any conversion, so neither the
+interpreter's 4,300-digit limit on int conversion nor ``10**999999999``
 stops it; a malformed string is an input error at any length.
 """
 
@@ -38,6 +38,10 @@ MAX_DIGITS = 1000
 _BOUND = 10**MAX_DIGITS  # built once: each power costs microseconds
 #: A run of digits, single underscores allowed between them as ``int`` does.
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
+#: A decimal literal with an exponent, as ``Fraction`` reads one.
+_EXPONENT_LITERAL = re.compile(
+    r"\s*[-+]?(?=\.?\d)(\d+(?:_\d+)*)?(?:\.(\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)\s*"
+)
 
 
 def to_ratio(value) -> tuple[int, int]:
@@ -48,9 +52,10 @@ def to_ratio(value) -> tuple[int, int]:
     Floats are interpreted via their decimal repr, so 0.025 means
     exactly 1/40 rather than the nearest binary double.  A zero
     denominator is a ValueError, like any other malformed literal.  A
-    well-formed string with a run of more than ``MAX_DIGITS`` digits
-    raises ``BudgetExceededError`` before any conversion, whatever its
-    value; a malformed one is a ValueError at any length.
+    well-formed string with a run of more than ``MAX_DIGITS`` digits, or
+    with an exponent that puts its value or reduced denominator past
+    them, raises ``BudgetExceededError`` before any conversion (a zero
+    mantissa gives ``(0, 1)``); a malformed one is a ValueError.
     """
     if isinstance(value, str):
         if len(value) > MAX_DIGITS and _over_long(value):
@@ -62,6 +67,15 @@ def to_ratio(value) -> tuple[int, int]:
             if q:
                 return int(num), q
             raise ValueError(f"zero denominator in {value!r}")
+        literal = _EXPONENT_LITERAL.fullmatch(value)
+        if literal:  # the value is mantissa * 10**shift
+            whole, fraction, exponent = literal.groups("")
+            mantissa = int(whole + fraction)
+            if not mantissa:
+                return 0, 1
+            shift = int(exponent) - len(fraction.replace("_", ""))
+            if shift >= MAX_DIGITS or -shift > MAX_DIGITS + len(str(mantissa)):
+                raise BudgetExceededError(f"a number literal has more than {MAX_DIGITS} digits")
         try:
             return Fraction(value.strip()).as_integer_ratio()
         except ZeroDivisionError:
@@ -89,29 +103,27 @@ def _over_long(text: str) -> bool:
     return True
 
 
-def to_fraction(value) -> Fraction:
-    """``to_ratio(value)`` as a Fraction."""
-    return Fraction(*to_ratio(value))
-
-
 def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """A matrix of rationals as exact integers over one scale.
 
     Returns ``(rows, scale)``: ``rows[i][j] / scale`` is
     ``to_ratio(matrix[i][j])``, rows keep their lengths, and ``scale``
     is the lcm of the reduced denominators, so equal matrices give equal
-    pairs.  When every cell is exactly a ``str``, each distinct literal
-    is parsed once, in row-major order of first use; any other matrix
-    is parsed once per cell (see the module docstring for why).  The
-    memo lives for this call only.  The first bad cell in row-major
-    order raises.  A scale or a cell of more than ``MAX_DIGITS`` digits
-    raises ``BudgetExceededError``.
+    pairs.  When every cell is exactly a ``str``, as every cell read
+    from a file is, each distinct literal is parsed once, in row-major
+    order of first use; in-process numbers are parsed once per cell (see
+    the module docstring for why).  The memo lives for this call only.
+    The first bad cell, or row that is not a list, in row-major order
+    raises.  A scale or a cell of more than ``MAX_DIGITS`` digits raises
+    ``BudgetExceededError``.
     """
     rows = []
     try:
         for row in matrix:
+            if isinstance(row, str):
+                raise TypeError("a matrix row must be a list, not a string")
             rows.append(tuple(row))
-    except TypeError:  # a row that is not iterable: earlier bad cells raise first
+    except TypeError:  # a row that is not a list: earlier bad cells raise first
         for cell in chain.from_iterable(rows):
             to_ratio(cell)
         raise

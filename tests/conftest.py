@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import math
 import re
 from fractions import Fraction
 
@@ -21,6 +23,20 @@ ACCEPTANCE_TITLES = {
 }
 
 _acceptance_outcomes: dict[int, str] = {}
+
+
+def quote_numbers(data):
+    """``data`` with every int and float leaf replaced by the string
+    ``json.dumps`` writes for it, so a file written from the result
+    holds each number quoted exactly as it would stand bare.  Booleans,
+    NaN and the infinities, which JSON cannot quote as numbers, stay."""
+    if isinstance(data, dict):
+        return {key: quote_numbers(value) for key, value in data.items()}
+    if isinstance(data, list):
+        return [quote_numbers(value) for value in data]
+    if isinstance(data, bool) or not isinstance(data, (int, float)):
+        return data
+    return json.dumps(data) if math.isfinite(data) else data
 
 
 def pytest_runtest_logreport(report):

@@ -37,7 +37,7 @@ import geoplan as gp
 from geoplan.assignment import _lex_min_zero_assignment
 from geoplan.evaluation import _as_placement
 from geoplan.nngraph import SupplierTier
-from geoplan.rational import _BOUND, MAX_DIGITS, lowest_terms, to_fraction, to_ratio
+from geoplan.rational import _BOUND, MAX_DIGITS, lowest_terms, to_ratio
 
 #: largest matrix brute_force_assignment will accept (k! blowup)
 BRUTE_FORCE_LIMIT = 9
@@ -47,7 +47,7 @@ def _as_rows(cost) -> list[list[Fraction]]:
     if isinstance(cost, gp.ColorCostMatrix):
         rows = [list(row) for row in cost.values]
     else:
-        rows = [[to_fraction(x) for x in row] for row in cost]
+        rows = [[Fraction(*to_ratio(x)) for x in row] for row in cost]
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise gp.InvalidInputError("cost matrix must be square and non-empty")
@@ -359,9 +359,13 @@ def product_oracle(
 
 def per_cell_scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """``scaled_rows`` by its definition: one ``to_ratio`` per cell in
-    row-major order, the lcm of the denominators, one gcd reduction and
-    the ``MAX_DIGITS`` bound over every cell."""
-    ratios = [list(map(to_ratio, row)) for row in matrix]
+    row-major order (a string row refused), the lcm of the denominators,
+    one gcd reduction and the ``MAX_DIGITS`` bound over every cell."""
+    ratios = []
+    for row in matrix:
+        if isinstance(row, str):
+            raise TypeError("a matrix row must be a list, not a string")
+        ratios.append(list(map(to_ratio, row)))
     scale = lcm(*{q for row in ratios for _, q in row})
     rows, scale = lowest_terms([[p * (scale // q) for p, q in row] for row in ratios], scale)
     if max(map(abs, chain((scale,), *rows))) >= _BOUND:

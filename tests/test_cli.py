@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import geoplan as gp
-from conftest import random_spec
+from conftest import quote_numbers, random_spec
 from geoplan import cli
 
 F = Fraction
@@ -361,9 +361,11 @@ def test_malformed_spec_file(tmp_path, capsys):
                    {"id": "b", "demands": [0.25, 0.25]}]},
         {"nodes": [{"id": "a", "capacity": True, "demands": [0.25, 0.25]},
                    {"id": "b", "demands": [0.25, 0.25]}]},
+        {"nodes": [{"id": "a", "demands": "00"}, {"id": "b", "demands": [0.5, 0.5]}]},
     ],
     ids=["node-not-object", "node-without-id", "null-demand", "boolean-rtt", "nodes-not-list",
-         "fractional-files", "boolean-files", "fractional-capacity", "boolean-capacity"],
+         "fractional-files", "boolean-files", "fractional-capacity", "boolean-capacity",
+         "string-demand-row"],
 )
 def test_malformed_network_fields_exit_1(tmp_path, capsys, broken):
     data = {
@@ -430,7 +432,13 @@ def test_numbers_past_the_digit_budget_exit_5(tmp_path, capsys, value):
         assert err.startswith("budget exceeded:") and "1000 digits" in err
 
 
-@pytest.mark.parametrize("where", ["json-rtt", "rtt-csv", "files", "capacity"])
+def write_bare(path: Path, data: dict, text: str) -> None:
+    """``data`` as JSON with every ``"@"`` string replaced by the JSON
+    ``text``, so a number in it stands bare."""
+    path.write_text(json.dumps(data).replace('"@"', text))
+
+
+@pytest.mark.parametrize("where", ["json-rtt", "json-bare", "rtt-csv", "files", "capacity"])
 @pytest.mark.parametrize(
     "literal",
     ["1" * 5000, "-" + "1" * 5000, "1/" + "1" * 5000, "1." + "0" * 5000],
@@ -438,10 +446,16 @@ def test_numbers_past_the_digit_budget_exit_5(tmp_path, capsys, value):
 )
 def test_literals_past_the_conversion_limit_exit_5(tmp_path, capsys, where, literal):
     """Literals longer than the interpreter's 4,300-digit limit on integer
-    string conversion are refused by the digit budget, not by int()."""
+    string conversion are refused by the digit budget, not by int(),
+    whether they are quoted or written as bare JSON numbers."""
     data = json.loads(Path(EX1).read_text())
+    path = tmp_path / "net.json"
     extra = []
-    if where == "json-rtt":
+    if where == "json-bare":
+        # a ratio is no JSON number: its long run stands bare as a decimal
+        data["rtt"][0][1] = data["rtt"][1][0] = "@"
+        write_bare(path, data, literal.replace("1/", "0."))
+    elif where == "json-rtt":
         data["rtt"][0][1] = data["rtt"][1][0] = literal
     elif where == "rtt-csv":
         rows = [[str(x) for x in row] for row in data["rtt"]]
@@ -453,14 +467,63 @@ def test_literals_past_the_conversion_limit_exit_5(tmp_path, capsys, where, lite
         data["files"] = literal
     else:
         data["nodes"][0]["capacity"] = literal
-    path = tmp_path / "net.json"
-    path.write_text(json.dumps(data))
+    if where != "json-bare":
+        path.write_text(json.dumps(data))
     for command in ("validate", "plan"):
         assert cli.main([command, "--spec", str(path), *extra]) == 5
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("budget exceeded:") and "1000 digits" in err
         assert len(err) < 200
+
+
+def test_exponent_literals_are_read_without_building_the_power(tmp_path, capsys):
+    """A bare or quoted exponent literal is checked before 10**exponent
+    is built: a zero reads as 0 and a value past the digit budget exits
+    5 at once, a non-integral count included."""
+    cases = [("rtt", "1e999999999", 5), ("rtt", "1e-999999999", 5), ("files", "1e-99999", 5),
+             ("files", "3e0", 0), ("rtt", "0e999999999", 0)]
+    path = tmp_path / "net.json"
+    for field, literal, code in cases:
+        data = json.loads(Path(EX1).read_text())
+        if field == "rtt":
+            data["rtt"][0][1] = data["rtt"][1][0] = "@"
+        else:
+            data["files"] = "@"
+        for text in (literal, json.dumps(literal)):  # bare, then quoted
+            write_bare(path, data, text)
+            assert cli.main(["validate", "--spec", str(path)]) == code, text
+            err = capsys.readouterr().err
+            assert code == 0 or "1000 digits" in err
+
+
+def test_bare_numeric_ids_are_kept_as_written(tmp_path, capsys):
+    ids = ("1.50", "2", "-0", "1e2")
+    text = Path(EX1).read_text()
+    for node_id, bare in zip("ABCD", ids):
+        text = text.replace(f'"id": "{node_id}"', f'"id": {bare}')
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert gp.load_spec(str(path)).node_ids == ids
+    assert cli.main(["expand", "--spec", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert [n["id"] for n in payload["nodes"]] == list(ids)
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "2"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("where", ["generator", "q"])
+def test_eval_refuses_a_code_entry_that_is_not_an_integer(tmp_path, capsys, entry, where):
+    code = gp.mds_code(4, 3, field_order=7).to_dict()
+    if where == "q":
+        code["q"] = entry
+    else:
+        code["generator"][1][2] = entry
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(code))
+    assert cli.main(["eval", "--spec", EX1, "--code", str(code_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and f"{entry!r} is not an integer" in err
 
 
 def test_a_malformed_long_literal_is_an_input_error(tmp_path, capsys):

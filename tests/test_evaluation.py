@@ -28,8 +28,13 @@ def micro_spec():
     )
 
 
+def wc_bounds(spec):
+    """The worst-case floors as Fractions: ``wc_floors`` over the RTT scale."""
+    return tuple(F(t, spec.rtt_scale) for t in spec.wc_floors)
+
+
 def test_wc_lower_bounds_example(ex1):
-    assert gp.wc_lower_bounds(ex1) == (2, 2, 7, 2)
+    assert wc_bounds(ex1) == (2, 2, 7, 2)
 
 
 def test_wc_lower_bounds_with_capacities():
@@ -41,7 +46,7 @@ def test_wc_lower_bounds_with_capacities():
         capacities=(2, 1, 1),
     )
     # x needs one remote file (z at 1); y needs two (z, then x at 3)
-    assert gp.wc_lower_bounds(spec) == (1, 3, 1)
+    assert wc_bounds(spec) == (1, 3, 1)
 
 
 def test_wc_lower_bounds_need_enough_room():
@@ -52,7 +57,7 @@ def test_wc_lower_bounds_need_enough_room():
         3,
     )
     with pytest.raises(gp.InvalidSpecError):
-        gp.wc_lower_bounds(spec)
+        spec.wc_floors
 
 
 def test_eval_uncoded_example(ex1):
@@ -148,7 +153,7 @@ def test_integer_report_matches_its_fraction_views():
     for spec, report in reports:
         assert report.scale == spec.rtt_scale
         assert report.floors == spec.wc_floors
-        assert report.wc_bounds == spec.wc_bounds
+        assert report.wc_bounds == wc_bounds(spec)
         assert report.latencies == tuple(
             tuple(F(t, spec.rtt_scale) for t in row) for row in report.fetch
         )

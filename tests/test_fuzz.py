@@ -4,6 +4,8 @@ Mutations of ``tests/data/ex1.json``, of CSV matrix overrides and of
 placement files run through ``cli.main`` for ``validate``, ``plan``,
 ``eval``, ``oracle`` and ``expand``.  Malformed input must end in one of
 the documented exit codes (0, 1, 3, 4 or 5), never in an exception.
+Every ``QUOTED_EVERY``-th network is also written with every number
+quoted, and must give the same exit codes and stdout as when bare.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import random
 from pathlib import Path
 
+from conftest import quote_numbers
 from geoplan import cli
 
 DATA = Path(__file__).parent / "data"
@@ -22,6 +25,7 @@ BASE_PLACEMENT = [["A", 2], ["B", 1], ["C", 2], ["D", 0]]
 
 SEED = 1009
 CASES = 500
+QUOTED_EVERY = 4
 DOCUMENTED_EXITS = {0, 1, 3, 4, 5}
 
 #: wrong types, non-numbers, zero denominators, extreme magnitudes
@@ -131,6 +135,7 @@ def test_mutated_inputs_end_in_documented_exit_codes(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
     rng = random.Random(SEED)
     spec_path = tmp_path / "net.json"
+    quoted_path = tmp_path / "quoted.json"
     placement_path = tmp_path / "placement.json"
     rtt_path = tmp_path / "rtt.csv"
     demands_path = tmp_path / "demands.csv"
@@ -141,6 +146,10 @@ def test_mutated_inputs_end_in_documented_exit_codes(tmp_path, capsys, monkeypat
         for _ in range(rng.randint(0, 3)):  # none: only the CSV or placement varies
             mutate_network(rng, data)
         spec_path.write_text(json.dumps(data))
+        spec_paths = [spec_path]
+        if case % QUOTED_EVERY == 0:
+            quoted_path.write_text(json.dumps(quote_numbers(data)))
+            spec_paths.append(quoted_path)
         overrides = []
         if rng.random() < 0.2:
             rtt_path.write_text(matrix_csv(rng, BASE["rtt"]))
@@ -152,12 +161,17 @@ def test_mutated_inputs_end_in_documented_exit_codes(tmp_path, capsys, monkeypat
         placement_path.write_text(json.dumps(placement))
         for command in (["validate"], ["plan"], ["eval", "--placement", str(placement_path)],
                         ["oracle"], ["expand"]):
-            argv = [*command, "--spec", str(spec_path), *overrides, "--out", out_path]
-            try:
-                code = cli.main(argv)
-            except Exception as exc:  # noqa: BLE001  the finding is any exception
-                code = f"{type(exc).__name__}: {exc}"
+            runs = []
+            for path in spec_paths:
+                argv = [*command, "--spec", str(path), *overrides, "--out", out_path]
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:  # noqa: BLE001  the finding is any exception
+                    code = f"{type(exc).__name__}: {exc}"
+                runs.append((code, capsys.readouterr().out))
+            code = runs[0][0]
             if code not in DOCUMENTED_EXITS:
                 failures.append((case, command[0], code, json.dumps(data)[:200]))
-        capsys.readouterr()
+            if runs[1:] and runs[1] != runs[0]:
+                failures.append((case, command[0], "quoted", runs, json.dumps(data)[:200]))
     assert failures == []

@@ -6,19 +6,20 @@ import json
 import random
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 import geoplan as gp
-from conftest import random_spec
-from geoplan.rational import MAX_DIGITS, to_fraction
+from conftest import quote_numbers, random_spec
+from geoplan.rational import MAX_DIGITS, to_ratio
 from test_fuzz import ODD_VALUES
 
 
 def _moderate_number(value) -> bool:
     try:
-        exact = to_fraction(value)
-    except (TypeError, ValueError):
+        exact = Fraction(*to_ratio(value))
+    except (TypeError, ValueError, gp.BudgetExceededError):
         return False
     return max(exact.numerator.bit_length(), exact.denominator.bit_length()) <= 2048
 
@@ -154,7 +155,9 @@ def test_boolean_cell_after_an_equal_number_is_refused():
 def test_numbers_past_the_digit_budget_are_refused():
     def parses(value):
         try:
-            to_fraction(value)
+            to_ratio(value)
+        except gp.BudgetExceededError:  # a well-formed literal past the budget
+            return True
         except (TypeError, ValueError):
             return False
         return True
@@ -163,8 +166,8 @@ def test_numbers_past_the_digit_budget_are_refused():
         return gp.make_spec(("X", "Y"), ((0, rtt), (rtt, 0)), ((demand, 0), (0, demand)), files)
 
     for value in ("1e400", 10**40, 10**MAX_DIGITS - 1, f"1/{10**(MAX_DIGITS - 1)}"):
-        assert spec_with(value).rtt[0][1] == to_fraction(value)
-        assert spec_with(demand=value).demands[0][0] == to_fraction(value)
+        assert spec_with(value).rtt[0][1] == Fraction(*to_ratio(value))
+        assert spec_with(demand=value).demands[0][0] == Fraction(*to_ratio(value))
     assert spec_with(files=10**MAX_DIGITS - 1).file_count == 10**MAX_DIGITS - 1
     # the fuzzer's numbers left out of CORPUS_NUMBERS, and the edges
     left_out = [v for v in ODD_VALUES if parses(v) and v not in CORPUS_NUMBERS]
@@ -217,8 +220,8 @@ def test_rtt_scaled_is_cached_and_exact():
         n, k = rng.randint(1, 5), rng.randint(1, 3)
         rtt, demands = corpus_matrix(rng, n, n, pool), corpus_matrix(rng, n, k, pool)
         spec = gp.make_spec([f"n{i}" for i in range(n)], rtt, demands, k)
-        exact_rtt = tuple(tuple(map(to_fraction, row)) for row in rtt)
-        exact_demands = tuple(tuple(map(to_fraction, row)) for row in demands)
+        exact_rtt = tuple(tuple(Fraction(*to_ratio(x)) for x in row) for row in rtt)
+        exact_demands = tuple(tuple(Fraction(*to_ratio(x)) for x in row) for row in demands)
         assert spec.rtt == exact_rtt and spec.demands == exact_demands
         assert_exact(spec.rtt_scaled, spec.rtt_scale, exact_rtt)
         assert_exact(spec.demands_scaled, spec.demand_scale, exact_demands)
@@ -373,8 +376,8 @@ def test_multi_capacity_expansion_matches_definition():
         rtt, demands = corpus_matrix(rng, n, n), corpus_matrix(rng, n, k)
         spec = gp.make_spec([f"n{i}" for i in range(n)], rtt, demands, k,
                             capacities=[rng.randint(1, 3) for _ in range(n)])
-        cases.append((spec, [list(map(to_fraction, row)) for row in rtt],
-                      [list(map(to_fraction, row)) for row in demands]))
+        cases.append((spec, [[Fraction(*to_ratio(x)) for x in row] for row in rtt],
+                      [[Fraction(*to_ratio(x)) for x in row] for row in demands]))
     checked = 0
     for spec, rtt, demands in cases:
         if spec.is_unit_capacity:
@@ -464,6 +467,22 @@ def test_load_spec_reads_decimals_exactly(tmp_path):
     assert spec.demands[0][0] == Fraction(3, 10)
     assert spec.rtt[0][1] == Fraction(3, 2)
     assert spec.capacities == (1, 1)
+
+
+def test_readme_example_is_the_bundled_network(tmp_path, ex1):
+    """The README's network, ``tests/data/ex1.json`` and that file with
+    every number quoted load to one spec: bare and quoted numbers are
+    read alike."""
+    root = Path(__file__).parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Network files", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    bundled = root / "tests" / "data" / "ex1.json"
+    readme_path, quoted_path = tmp_path / "readme.json", tmp_path / "quoted.json"
+    readme_path.write_text(example)
+    quoted_path.write_text(json.dumps(quote_numbers(json.loads(bundled.read_text()))))
+    assert '"0.025"' in quoted_path.read_text()
+    specs = [gp.load_spec(str(path)) for path in (readme_path, bundled, quoted_path)]
+    assert specs[0] == specs[1] == specs[2] == ex1
 
 
 def test_csv_overrides(tmp_path, ex1):

@@ -45,7 +45,6 @@ def test_the_shared_order_reproduces_each_definition(k):
                 for row in net.rtt_scaled
             )
             assert net.wc_floors == sorted_walk_floors(net)
-            assert net.wc_bounds == tuple(Fraction(t, net.rtt_scale) for t in net.wc_floors)
             if net.is_unit_capacity:
                 tiers = supplier_tiers(net)
                 assert tiers == column_sort_tiers(net)

@@ -259,9 +259,9 @@ def test_exact_ties_in_supply_graphs_and_floors():
     assert gp.build_nng(spec).in_neighbors == ((1, 3), (0, 4), (0, 4), (0, 2), (1, 2))
 
     third = Fraction(1, 3)
-    assert gp.wc_lower_bounds(spec) == (third,) * 5
+    assert tuple(Fraction(t, spec.rtt_scale) for t in spec.wc_floors) == (third,) * 5
     two = gp.make_spec("ABCDE", rtt, [[share] * 3] * 5, 3, capacities=(2, 1, 1, 1, 1))
-    assert gp.wc_lower_bounds(two) == (c, third, third, c, third)
+    assert tuple(Fraction(t, two.rtt_scale) for t in two.wc_floors) == (c, third, third, c, third)
 
 
 def test_per_node_predicate_matches_graph_enumeration():

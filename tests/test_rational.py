@@ -9,36 +9,40 @@ import pytest
 import geoplan.rational
 from crosscheck import per_cell_scaled_rows
 from geoplan.errors import BudgetExceededError
-from geoplan.rational import MAX_DIGITS, frac_decimal, frac_str, scaled_rows, to_fraction, to_ratio
+from geoplan.rational import MAX_DIGITS, frac_decimal, frac_str, scaled_rows, to_ratio
+
+
+def exact(value) -> Fraction:
+    return Fraction(*to_ratio(value))
 
 
 def test_decimal_string_is_exact():
-    assert to_fraction("0.025") == Fraction(1, 40)
+    assert exact("0.025") == Fraction(1, 40)
 
 
 def test_float_reads_as_printed():
     # 0.025 the double is not 1/40, but its shortest repr is
-    assert to_fraction(0.025) == Fraction(1, 40)
+    assert exact(0.025) == Fraction(1, 40)
 
 
 def test_ratio_string():
-    assert to_fraction("9/40") == Fraction(9, 40)
-    assert to_fraction(" 13/10 ") == Fraction(13, 10)
+    assert exact("9/40") == Fraction(9, 40)
+    assert exact(" 13/10 ") == Fraction(13, 10)
 
 
 def test_int_and_fraction_pass_through():
-    assert to_fraction(7) == Fraction(7)
-    assert to_fraction(Fraction(3, 2)) == Fraction(3, 2)
+    assert exact(7) == Fraction(7)
+    assert exact(Fraction(3, 2)) == Fraction(3, 2)
 
 
 def test_bool_rejected():
     with pytest.raises(TypeError):
-        to_fraction(True)
+        exact(True)
 
 
 def test_other_types_rejected():
     with pytest.raises(TypeError):
-        to_fraction(None)
+        exact(None)
 
 
 def test_frac_str():
@@ -66,6 +70,9 @@ def test_frac_decimal_half_to_even():
 PARSE_CORPUS = (
     "3", "007", "1/40", "0.025", " 3 ", "+3", "-3/4", "3/-4", "3/ 4",
     "1_000/3", "٣/٤", "3/", "/3", "1e3", "",
+    # exponent literals, which the exponent check reads before Fraction
+    "1.5e-3", "-2E+2", " 1.e2 ", ".5e1", "1_0.0_1e1_0", "٣e٢", "0e5", "-0.0e-7",
+    "e5", ".e5", "1e", "1e+", "1e_5", "1_e5", "1._5e1", "1e5.0", "1e5/2", "--1e5",
 )
 
 
@@ -75,11 +82,11 @@ def test_string_parse_agrees_with_fraction():
             expected = Fraction(text)
         except ValueError:
             with pytest.raises(ValueError):
-                to_fraction(text)
+                exact(text)
             with pytest.raises(ValueError):
                 to_ratio(text)
             continue
-        got = to_fraction(text)
+        got = exact(text)
         assert type(got) is Fraction
         assert got == expected, text
         p, q = to_ratio(text)
@@ -90,7 +97,7 @@ def test_string_parse_agrees_with_fraction():
 def test_zero_denominator_is_a_value_error():
     for text in ("1/0", "0/0", " 7/000 ", "1_0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
-            to_fraction(text)
+            exact(text)
 
 
 def test_long_digit_runs_are_refused_before_conversion():
@@ -123,6 +130,30 @@ def test_long_digit_runs_are_refused_before_conversion():
                 assert Fraction(*to_ratio(text)) == Fraction(p, q)
     finally:
         sys.set_int_max_str_digits(old_limit)
+
+
+def test_exponents_are_checked_before_the_power_is_built():
+    """A zero mantissa reads as 0 whatever its exponent; a nonzero value
+    of MAX_DIGITS or more digits, or one whose reduced denominator has
+    more than MAX_DIGITS digits, is a budget refusal before Fraction
+    builds 10**exponent (each of these would take seconds or never end)."""
+    for text in ("0e999999999", "-0.000e-999999999", "0_0.0e1_000_000_000"):
+        assert to_ratio(text) == (0, 1)
+    refused = (
+        "1e999999999", "1e-999999999", "1e3000000", f"1e{MAX_DIGITS}",
+        f"0.1e{MAX_DIGITS + 1}", f"1e-{MAX_DIGITS + 2}", f"123e-{MAX_DIGITS + 4}",
+        "1e" + "9" * MAX_DIGITS,
+    )
+    for text in refused:
+        with pytest.raises(BudgetExceededError, match=f"more than {MAX_DIGITS} digits"):
+            to_ratio(text)
+    # the edges of the check, and values it lets through to Fraction
+    kept = (
+        f"9e{MAX_DIGITS - 1}", f"1e-{MAX_DIGITS + 1}", f"123e-{MAX_DIGITS + 3}",
+        f"10e{MAX_DIGITS - 1}", "1e400", "1e-400",
+    )
+    for text in kept:
+        assert exact(text) == Fraction(text), text
 
 
 # --- scaled_rows: one parse per distinct string literal -------------------
@@ -179,6 +210,11 @@ def test_scaled_rows_matches_the_per_cell_definition():
         [[], []],
         [["1"], ["1", "2/3", "3"], []],
         [[1], [Fraction(1, 3), 2, 3], []],
+        ["12", "34"],
+        [["1", "2"], "34"],
+        [["x", "2"], "34"],
+        "0",
+        "",
     ]
     for matrix in matrices:
         expected = outcome(per_cell_scaled_rows, matrix)
