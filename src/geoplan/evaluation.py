@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 
 from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
@@ -207,15 +207,18 @@ def _code_matrix(spec: NetworkSpec, code: LinearCode):
 
 
 def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport, RecoveryPlan]:
-    """Evaluate a linear storage code exactly, one linear solve per node.
+    """Evaluate a linear storage code exactly, one elimination per node.
 
     Node v's latency for file j is the smallest radius around v whose
     stored symbols decode j, i.e. whose generator columns span e_j
     (contacting itself is free).  The recovery vector is canonical:
-    solve G x = e_j with the columns ordered by (RTT from v, node
-    index), which is ``spec.nearest[v]``, and free entries zero.  Row reduction then picks pivots in
-    distance order, so the vector's farthest nonzero entry lies on
-    exactly that smallest radius.
+    ``solution_space`` walks the columns in (RTT from v, node index)
+    order, which is ``spec.nearest[v]``, keeps each column independent
+    of those kept before it and stops at the k-th; the vector solves
+    G x = e_j on the kept columns with every other entry zero.  The
+    kept columns are the first independent ones in distance order, so
+    the vector's farthest nonzero entry lies on exactly that smallest
+    radius.
     """
     f, matrix = _code_matrix(spec, code)
     n = spec.node_count
@@ -224,17 +227,12 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
     chosen: list[tuple[tuple[int, ...], ...]] = []
     for order, dist in zip(spec.nearest, spec.rtt_scaled):
         particulars = solution_space(f, [[g[s] for s in order] for g in matrix])
-        row = []
-        picks = []
-        for y in particulars:
-            x = [f.zero] * n
-            for s, c in zip(order, y):
-                x[s] = c
-            farthest = max(i for i, c in enumerate(y) if c)
-            row.append(dist[order[farthest]])
-            picks.append(tuple(x))
-        fetch.append(row)
-        chosen.append(tuple(picks))
+        ranked = [dist[s] for s in order]  # RTT to the column at each position
+        position = [0] * n  # node s is column position[s] of the ordered matrix
+        for i, s in enumerate(order):
+            position[s] = i
+        fetch.append([max(compress(ranked, y)) for y in particulars])
+        chosen.append(tuple([tuple([y[i] for i in position]) for y in particulars]))
     report = _finish_report(spec, fetch)
     plan = RecoveryPlan(node_ids=spec.node_ids, file_count=k, vectors=tuple(chosen))
     return report, plan

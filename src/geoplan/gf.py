@@ -1,9 +1,18 @@
 """Finite field arithmetic for storage codes.
 
-Supports prime fields GF(p) and binary extension fields GF(2^m) for
-m <= 16.  Elements are plain ints: residues for prime fields, bit
-representations of polynomials for binary fields.  Other prime powers
-are rejected.
+Supports prime fields GF(p) for p < 2^64 and binary extension fields
+GF(2^m) for m <= 16.  Elements are plain ints: residues for prime
+fields, bit representations of polynomials for binary fields.  Other
+prime powers are rejected.  Primality is decided by a deterministic
+Miller-Rabin test, so a large prime order costs microseconds.
+
+The linear algebra is one elimination, ``_eliminate``: it walks a
+matrix's columns in the order given, keeps each column independent of
+those kept before it, and stops at the k-th, one whole-row operation
+(``sub_scaled``, one per field class) at a time.  ``solution_space``
+solves G x = e_j on the kept columns and ``matrix_rank`` counts them.
+The evaluator passes each node's columns in (RTT, node index) order,
+so the solve stops at the k-th independent column in that order.
 """
 
 from __future__ import annotations
@@ -31,18 +40,37 @@ _REDUCTION = {
 }
 
 
+#: Miller-Rabin with these bases is exact below 318665857834031151167461
+#: (Sorenson and Webster 2015), which is more than 2^64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: prime field orders must be below this
+PRIME_ORDER_LIMIT = 1 << 64
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < 2^64."""
+    if n >= PRIME_ORDER_LIMIT:
+        raise ValueError("is_prime is exact only below 2^64")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -71,6 +99,11 @@ class PrimeField:
 
     def coerce(self, a: int) -> int:
         return a % self.order
+
+    def sub_scaled(self, x, a, y):
+        """The row x - a*y."""
+        p = self.order
+        return [(u - a * w) % p for u, w in zip(x, y)]
 
 
 class BinaryField:
@@ -123,15 +156,25 @@ class BinaryField:
             return a
         raise InvalidInputError(f"{a} is not an element of GF(2^{self.m})")
 
+    def sub_scaled(self, x, a, y):
+        """The row x - a*y, which is x + a*y in characteristic 2."""
+        mul = self.mul
+        return [u ^ mul(a, w) if w else u for u, w in zip(x, y)]
+
 
 def field(order: int):
-    """Field for the given order: prime, or a power of two up to 2^16."""
+    """Field for the given order: a prime below 2^64, or a power of two up
+    to 2^16."""
     if order < 2:
         raise InvalidInputError(f"field order must be at least 2, got {order}")
+    if order > 2 and order & (order - 1) == 0:
+        return BinaryField(order.bit_length() - 1)
+    if order >= PRIME_ORDER_LIMIT:
+        raise InvalidInputError(
+            f"unsupported field order of {len(str(order))} digits: prime orders must be below 2^64"
+        )
     if is_prime(order):
         return PrimeField(order)
-    if order & (order - 1) == 0:
-        return BinaryField(order.bit_length() - 1)
     raise InvalidInputError(
         f"unsupported field order {order}: only primes and powers of two are implemented"
     )
@@ -141,66 +184,69 @@ def field(order: int):
 # Linear algebra over a field
 
 
-def rref(f, rows: list[list[int]]):
-    """Reduced row echelon form in place; returns (pivot_columns, transform).
+def _eliminate(f, columns, k: int):
+    """Walk k-entry ``columns`` in order, keeping each one independent of
+    the columns kept before it, and stop at the k-th kept column.
 
-    ``transform`` is the square matrix of accumulated row operations, so
-    ``transform @ original == rref``.
+    Returns ``(kept, basis)``: ``kept`` lists the kept positions in
+    increasing order, the pivot columns a row reduction would find, and
+    ``basis`` maps each pivot row r to a row whose first k entries are
+    the reduced column and whose last k entries are its coefficients
+    over the kept columns, slot i for ``kept[i]``.  The basis stays
+    fully reduced, so at rank k the reduced columns are the unit vectors
+    and ``basis[r][k:]`` solves ``G x = e_r`` on the kept columns.
     """
-    k = len(rows)
-    width = len(rows[0]) if k else 0
-    transform = [[f.one if i == j else f.zero for j in range(k)] for i in range(k)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, k) if rows[i][col] != f.zero), None)
+    basis: dict[int, list[int]] = {}
+    kept: list[int] = []
+    zeros = [f.zero] * (2 * k)
+    for c, column in enumerate(columns):
+        v = [*column, *zeros[:k]]
+        v[k + len(kept)] = f.one
+        for r, b in basis.items():
+            if v[r]:
+                v = f.sub_scaled(v, v[r], b)
+        pivot = next(filter(v.__getitem__, range(k)), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        transform[r], transform[pivot] = transform[pivot], transform[r]
-        scale = f.inv(rows[r][col])
-        rows[r] = [f.mul(scale, x) for x in rows[r]]
-        transform[r] = [f.mul(scale, x) for x in transform[r]]
-        for i in range(k):
-            if i == r or rows[i][col] == f.zero:
-                continue
-            factor = rows[i][col]
-            rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-            transform[i] = [
-                f.sub(x, f.mul(factor, y)) for x, y in zip(transform[i], transform[r])
-            ]
-        pivots.append(col)
-        r += 1
-        if r == k:
+        if v[pivot] != f.one:
+            # v / v[pivot], written as 0 - (-1 / v[pivot]) * v
+            v = f.sub_scaled(zeros, f.neg(f.inv(v[pivot])), v)
+        for r, b in basis.items():
+            if b[pivot]:
+                basis[r] = f.sub_scaled(b, b[pivot], v)
+        basis[pivot] = v
+        kept.append(c)
+        if len(kept) == k:
             break
-    return pivots, transform
+    return kept, basis
 
 
 def matrix_rank(f, matrix) -> int:
-    rows = [[f.coerce(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    pivots, _ = rref(f, rows)
-    return len(pivots)
+    rows = [list(map(f.coerce, row)) for row in matrix]
+    kept, _ = _eliminate(f, zip(*rows), len(rows))
+    return len(kept)
 
 
 def solution_space(f, matrix):
     """For a full-row-rank k x n matrix G, solve G x = e_j for every j.
 
     Returns ``particulars`` where ``particulars[j]`` is the solution of
-    G x = e_j with every free variable zero.
+    G x = e_j supported on the first k independent columns of G, the
+    pivot columns of its row reduction: every free variable is zero.
+    The elimination stops at the k-th independent column, so columns
+    after it are never reduced.
     """
-    rows = [[f.coerce(x) for x in row] for row in matrix]
+    rows = [list(map(f.coerce, row)) for row in matrix]
     k = len(rows)
     n = len(rows[0]) if k else 0
-    pivots, transform = rref(f, rows)
-    if len(pivots) < k:
+    kept, basis = _eliminate(f, zip(*rows), k)
+    if len(kept) < k:
         raise InvalidInputError("generator matrix is rank deficient")
     particulars = []
     for j in range(k):
         x = [f.zero] * n
-        for i, col in enumerate(pivots):
-            x[col] = transform[i][j]
+        for c, a in zip(kept, basis[j][k:]):
+            x[c] = a
         particulars.append(tuple(x))
     return particulars
 

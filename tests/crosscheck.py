@@ -20,7 +20,11 @@ placement counted once through its sibling-sorted representative,
 kept as the reference its depth-first search must reproduce.
 ``per_cell_scaled_rows`` parses every matrix cell on its own, the
 definition ``geoplan.rational.scaled_rows`` must reproduce while it
-parses each distinct string literal once.
+parses each distinct string literal once.  ``rref_solution_space`` and
+``rref_matrix_rank`` solve and rank through a full-width reduced row
+echelon form with its accumulated transform, the reference for
+``geoplan.gf``'s column-by-column elimination that stops at the k-th
+independent column.
 """
 
 from __future__ import annotations
@@ -371,3 +375,61 @@ def per_cell_scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     if max(map(abs, chain((scale,), *rows))) >= _BOUND:
         raise gp.BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
     return rows, scale
+
+
+def _rref(f, rows: list[list[int]]):
+    """Reduced row echelon form in place; returns (pivot_columns, transform)
+    with ``transform @ original == rref``."""
+    k = len(rows)
+    width = len(rows[0]) if k else 0
+    transform = [[f.one if i == j else f.zero for j in range(k)] for i in range(k)]
+    pivots: list[int] = []
+    r = 0
+    for col in range(width):
+        pivot = next((i for i in range(r, k) if rows[i][col] != f.zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        transform[r], transform[pivot] = transform[pivot], transform[r]
+        scale = f.inv(rows[r][col])
+        rows[r] = [f.mul(scale, x) for x in rows[r]]
+        transform[r] = [f.mul(scale, x) for x in transform[r]]
+        for i in range(k):
+            if i == r or rows[i][col] == f.zero:
+                continue
+            factor = rows[i][col]
+            rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            transform[i] = [
+                f.sub(x, f.mul(factor, y)) for x, y in zip(transform[i], transform[r])
+            ]
+        pivots.append(col)
+        r += 1
+        if r == k:
+            break
+    return pivots, transform
+
+
+def rref_matrix_rank(f, matrix) -> int:
+    rows = [[f.coerce(x) for x in row] for row in matrix]
+    if not rows:
+        return 0
+    pivots, _ = _rref(f, rows)
+    return len(pivots)
+
+
+def rref_solution_space(f, matrix):
+    """``gf.solution_space`` from the row reduction: x[pivot_i] is row i of
+    the transform, so G x = e_j with every free variable zero."""
+    rows = [[f.coerce(x) for x in row] for row in matrix]
+    k = len(rows)
+    n = len(rows[0]) if k else 0
+    pivots, transform = _rref(f, rows)
+    if len(pivots) < k:
+        raise gp.InvalidInputError("generator matrix is rank deficient")
+    particulars = []
+    for j in range(k):
+        x = [f.zero] * n
+        for i, col in enumerate(pivots):
+            x[col] = transform[i][j]
+        particulars.append(tuple(x))
+    return particulars

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -524,6 +525,24 @@ def test_eval_refuses_a_code_entry_that_is_not_an_integer(tmp_path, capsys, entr
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and f"{entry!r} is not an integer" in err
+
+
+def test_eval_takes_a_19_digit_prime_order_at_once(tmp_path, capsys):
+    """Miller-Rabin decides q at once, where trial division took minutes;
+    an order from 2^64 is refused by its digit count."""
+    code_file = tmp_path / "code.json"
+    q = 4611686018427387847  # 2^62 - 57
+    code = {"q": q, "generator": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, q - 1, 2]]}
+    code_file.write_text(json.dumps(code))
+    start = time.perf_counter()
+    assert cli.main(["eval", "--spec", EX1, "--code", str(code_file)]) == 0
+    assert time.perf_counter() - start < 1
+    assert "average latency" in capsys.readouterr().out
+    code["q"] = 2**64 + 1
+    code_file.write_text(json.dumps(code))
+    assert cli.main(["eval", "--spec", EX1, "--code", str(code_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unsupported field order of 20 digits" in err
 
 
 def test_a_malformed_long_literal_is_an_input_error(tmp_path, capsys):

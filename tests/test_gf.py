@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from crosscheck import rref_matrix_rank, rref_solution_space
 from geoplan.errors import InvalidInputError
 from geoplan.gf import (
     BinaryField,
@@ -14,7 +15,6 @@ from geoplan.gf import (
     field,
     is_prime,
     matrix_rank,
-    rref,
     solution_space,
 )
 
@@ -24,6 +24,40 @@ def test_is_prime():
     composites = [1, 0, 4, 6, 9, 15, 91, 65536]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_matches_a_sieve_below_200000():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+# the least strong pseudoprime to the first t prime bases, t = 1, ..., 11
+# (OEIS A014233, repeats dropped), and Carmichael numbers
+STRONG_PSEUDOPRIMES = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801]
+
+
+def test_is_prime_is_exact_on_pseudoprimes_and_large_primes():
+    assert not any(map(is_prime, STRONG_PSEUDOPRIMES + CARMICHAEL))
+    assert all(map(is_prime, (10**16 + 61, 2**61 - 1, 4611686018427387847, 2**64 - 59)))
+    assert not is_prime(4294967291**2) and not is_prime(1000000007 * 998244353)
+    with pytest.raises(ValueError):
+        is_prime(2**64 + 13)
+
+
+def test_field_orders_from_2_to_the_64_are_refused_by_digit_count():
+    assert isinstance(field(2**64 - 59), PrimeField)
+    for q, digits in ((2**64 + 1, 20), (10**999 + 7, 1000)):
+        with pytest.raises(InvalidInputError, match=f"field order of {digits} digits"):
+            field(q)
 
 
 def test_field_dispatch():
@@ -83,17 +117,6 @@ def _mat_mul(f, left, right):
     return out
 
 
-def test_rref_transform_reproduces_result():
-    f = field(5)
-    original = [[1, 2, 3], [4, 0, 1]]
-    rows = [row[:] for row in original]
-    pivots, transform = rref(f, rows)
-    assert len(pivots) == 2
-    assert _mat_mul(f, transform, original) == rows
-    for i, col in enumerate(pivots):
-        assert rows[i][col] == 1
-
-
 def test_matrix_rank():
     f = field(3)
     assert matrix_rank(f, [[1, 2], [2, 2]]) == 2
@@ -118,6 +141,44 @@ def test_solution_space_rank_deficient():
     f = field(3)
     with pytest.raises(InvalidInputError):
         solution_space(f, [[1, 2, 0], [2, 4, 0]])
+
+
+def _outcome(solve, f, matrix):
+    try:
+        return solve(f, matrix)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 11, 256, 65536, 65537])
+def test_elimination_matches_the_row_reduction(q):
+    """Same particulars, ranks and errors as a full-width RREF on seeded
+    matrices with zero, repeated and dependent columns and cells past q."""
+    f = field(q)
+    rng = random.Random(q)
+    deficient = 0
+    for k in range(1, 6):
+        for n in range(k, 13):
+            for _ in range(4):
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                shape = rng.randrange(5)
+                if shape == 1:  # a zero column
+                    c = rng.randrange(n)
+                    for row in rows:
+                        row[c] = 0
+                elif shape == 2 and n > 1:  # a repeated column
+                    a, b = rng.sample(range(n), 2)
+                    for row in rows:
+                        row[b] = row[a]
+                elif shape == 3 and k > 1:  # a dependent row: rank k - 1 at most
+                    rows[-1] = [f.mul(rng.randrange(q), x) for x in rows[0]]
+                elif shape == 4:  # a cell past q: reduced mod p, refused in GF(2^m)
+                    rows[rng.randrange(k)][rng.randrange(n)] = q + rng.randrange(q)
+                expect = _outcome(rref_solution_space, f, rows)
+                assert _outcome(solution_space, f, rows) == expect
+                assert _outcome(matrix_rank, f, rows) == _outcome(rref_matrix_rank, f, rows)
+                deficient += expect == "generator matrix is rank deficient"
+    assert deficient > 0
 
 
 def test_cauchy_matrix_submatrices_invertible():
