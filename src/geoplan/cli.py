@@ -36,7 +36,7 @@ from .model import (
 from .nngraph import build_nng, enumerate_nngs, extended_to_dot, build_extended_graph, nng_to_dot
 from .oracle import DEFAULT_ORACLE_BUDGET, brute_force_placement
 from .planner import InfeasiblePlan, PlanOptions, plan
-from .rational import frac_decimal, frac_str
+from .rational import MAX_DIGITS, frac_decimal, frac_str
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -140,9 +140,22 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _read_placement(path: str, spec: NetworkSpec) -> Placement:
+def _bounded_int(literal: str) -> int:
+    """A JSON integer literal, refused past ``MAX_DIGITS`` digits before
+    ``int()`` meets the interpreter's 4,300-digit conversion limit."""
+    if len(literal.lstrip("-")) > MAX_DIGITS:
+        raise BudgetExceededError(f"a number literal has more than {MAX_DIGITS} digits")
+    return int(literal)
+
+
+def _read_json(path: str):
+    """A placement or code file, each integer read by ``_bounded_int``."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        return json.load(fh, parse_int=_bounded_int)
+
+
+def _read_placement(path: str, spec: NetworkSpec) -> Placement:
+    data = _read_json(path)
     if isinstance(data, dict) and "placement" in data:
         data = data["placement"]
     if not isinstance(data, list):
@@ -169,8 +182,7 @@ def cmd_eval(args) -> int:
         report = eval_uncoded(spec, placement)
         payload = report.to_dict()
     else:
-        with open(args.code, encoding="utf-8") as fh:
-            code = LinearCode.from_dict(json.load(fh))
+        code = LinearCode.from_dict(_read_json(args.code))
         expanded = expand_multifile(spec)
         report, recovery = eval_linear_code(expanded.network, code)
         payload = report.to_dict()

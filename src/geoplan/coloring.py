@@ -5,16 +5,23 @@ independent classes; which file each class stores is a separate step.
 ``min_cost_coloring`` finds the cheapest labeled coloring exactly, by
 bucket elimination (Dechter, Artificial Intelligence 113, 1999) along a
 min-degree order: its work grows with the elimination width, not with
-the number of colorings.  ``iter_colorings`` enumerates every partition
-by backtracking, with two symmetry breaks: a seed clique (found
-greedily, and in conflict graphs every closed in-neighborhood is one)
-is placed first so its members pin the k classes, and classes are only
-opened in first-use order so each partition appears exactly once.
+the number of colorings.  A symbolic pass on the fill bit masks fixes
+the order and every step's scope before any table is built; each cover
+and each table is then filed once, in the bucket of its
+first-eliminated member, and a numeric pass joins each bucket's
+tables.  ``iter_colorings`` enumerates every partition by backtracking,
+with two symmetry breaks: a seed clique (found greedily, and in
+conflict graphs every closed in-neighborhood is one) is placed first so
+its members pin the k classes, and classes are only opened in
+first-use order so each partition appears exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from math import inf
+from operator import add, itemgetter, or_
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
@@ -148,13 +155,16 @@ def min_cost_coloring(
     which every node set in ``covers`` holds all k colors.
 
     Minimizes sum_s costs[s][files[s]] over labeled colorings ``files``
-    by bucket elimination along a min-degree order.  Each cover enters
-    the fill as a clique, so when its first member is eliminated every
-    member is in that step's table.  Eliminating node v joins v's own
-    costs and every table that mentions v over v's current neighbors,
-    keeping only the rows no conflict edge and no complete cover rules
-    out, then minimizes v away into a table over those neighbors.  A
-    step that keeps no row proves that no such coloring exists.
+    by bucket elimination along a min-degree order.  A symbolic pass
+    fixes the order and each step's scope on the fill masks alone; each
+    cover enters the fill as a clique, so its first-eliminated member
+    has every other member in scope.  Each cover, and each table once
+    its step has built it, is then filed in the bucket of its
+    first-eliminated member.  Eliminating node v joins v's own costs
+    and its bucket's tables over v's scope, keeping only the rows no
+    conflict edge and none of its bucket's covers rules out, then
+    minimizes v away into a table over the scope.  A step that keeps no
+    row proves that no such coloring exists.
 
     Ties go to the lexicographically smallest ``files``: every cost is
     scaled by k^n and node s adds files[s] * k^(n-1-s), so no two
@@ -168,66 +178,141 @@ def min_cost_coloring(
     k = len(costs[0])
     top = k**n
     masks = h.adjacency_masks()
-    fill = list(masks)  # conflict edges, cover cliques and the edges elimination fills in
+    order, scopes = _elimination_order(masks, covers)
+    step = [0] * n
+    for i, v in enumerate(order):
+        step[v] = i
+    # bucket i: the covers and tables whose first-eliminated member is order[i]
+    cover_bucket: list[list[Sequence[int]]] = [[] for _ in range(n)]
+    for cover in covers:
+        if cover:
+            cover_bucket[min(map(step.__getitem__, cover))].append(cover)
+    table_bucket: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in range(n)]
+    grow = [(1 << j,) for j in range(k)]  # a row holds each color j as the bit 1 << j
+    free = _Free(grow)
+    # per step: {colors of the scope: cheapest color of its node}, or that
+    # color when the scope is empty
+    choice: list = []
+    total = 0
+    for i, v in enumerate(order):
+        scope = scopes[i]
+        here = (v, *scope)
+        # per position: the tables to join and the covers to test once
+        # their last member is in
+        joins: list[list] = [[] for _ in here]
+        checks: list[list] = [[] for _ in here]
+        at = {u: p for p, u in enumerate(here)}
+        for t_scope, t_cost in table_bucket[i]:
+            idx = [at[w] for w in t_scope]
+            joins[max(idx)].append((itemgetter(*idx), t_cost))
+        for cover in cover_bucket[i]:
+            idx = [at[w] for w in cover]
+            checks[max(idx)].append(itemgetter(idx[0], *idx))  # a tuple even for one member
+
+        weight = k ** (n - 1 - v)
+        keys = grow
+        vals = [c * top + j * weight for j, c in enumerate(costs[v])]
+        for pos, u in enumerate(here):
+            if pos:
+                near = [p for p in range(pos) if masks[u] >> here[p] & 1]
+                if near:
+                    # the colors u's earlier neighbors hold, as one bit mask per row
+                    held = list(map(itemgetter(near[0]), keys))
+                    for p in near[1:]:
+                        held = list(map(or_, held, map(itemgetter(p), keys)))
+                    opts = list(map(free.__getitem__, held))
+                    vals = [c for c, ext in zip(vals, opts) for _ in ext]
+                    keys = [key + e for key, ext in zip(keys, opts) for e in ext]
+                else:
+                    vals = [c for c in vals for _ in grow]
+                    keys = [key + e for key in keys for e in grow]
+            for get, t_cost in joins[pos]:  # join each table once its last member is in
+                extra = list(map(t_cost.get, map(get, keys)))
+                if None in extra:
+                    keys = [key for key, e in zip(keys, extra) if e is not None]
+                    vals = [c + e for c, e in zip(vals, extra) if e is not None]
+                else:
+                    vals = list(map(add, vals, extra))
+            for get in checks[pos]:  # test each cover once its last member is in
+                full = list(map(k.__eq__, map(len, map(set, map(get, keys)))))
+                keys = list(compress(keys, full))
+                vals = list(compress(vals, full))
+            if len(keys) > MAX_TABLE_ROWS:
+                msg = f"coloring table past {MAX_TABLE_ROWS} rows at node {h.node_ids[v]}"
+                raise BudgetExceededError(msg)
+        if not keys:
+            return None
+
+        if not scope:
+            low = min(vals)
+            total += low
+            choice.append(keys[vals.index(low)][0])
+            continue
+        # totals are unique, so a strict < keeps the one cheapest color of v
+        cheapest: dict = {}
+        best: dict = {}
+        lowest = cheapest.get
+        rest = map(itemgetter(*range(1, len(here))), keys)
+        for r, c, b in zip(rest, vals, map(itemgetter(0), keys)):
+            if c < lowest(r, inf):
+                cheapest[r] = c
+                best[r] = b
+        choice.append(best)
+        table_bucket[min(map(step.__getitem__, scope))].append((scope, cheapest))
+
+    colors = [0] * n  # each node's color as its bit
+    for i in reversed(range(n)):
+        scope = scopes[i]
+        colors[order[i]] = choice[i][itemgetter(*scope)(colors)] if scope else choice[i]
+    return total // top, tuple(b.bit_length() - 1 for b in colors)
+
+
+class _Free(dict):
+    """The one-color extensions a row may take, by the bit mask of the
+    colors the new node's earlier neighbors hold in it; filled on first
+    use."""
+
+    def __init__(self, grow: list[tuple[int]]):
+        super().__init__()
+        self.grow = grow
+
+    def __missing__(self, held: int) -> list[tuple[int]]:
+        self[held] = kept = [e for e in self.grow if not e[0] & held]
+        return kept
+
+
+def _elimination_order(
+    masks: Sequence[int], covers: Sequence[Sequence[int]]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The min-degree elimination order on the fill masks alone (conflict
+    edges, cover cliques and the edges elimination fills in), lowest
+    index first among equal degrees, and each step's scope: the node's
+    neighbors still alive, ascending."""
+    n = len(masks)
+    fill = list(masks)
     for cover in covers:
         members = sum(1 << u for u in cover)
         for u in cover:
             fill[u] |= members & ~(1 << u)
-    alive = set(range(n))
-    # tables: (scope, {colors of scope: (cheapest cost, color of the node eliminated)})
-    tables: list[tuple[tuple[int, ...], dict]] = []
-    steps = []  # (node, scope, its table), in elimination order
-    total = 0
+    degree = [m.bit_count() for m in fill]
+    alive = list(range(n))
+    order: list[int] = []
+    scopes: list[tuple[int, ...]] = []
     for _ in range(n):
-        v = min(alive, key=lambda u: (fill[u].bit_count(), u))
-        alive.discard(v)
-        scope = tuple(u for u in sorted(alive) if fill[v] >> u & 1)
-        here = (v, *scope)
-        mine = [([here.index(w) for w in t[0]], t[1]) for t in tables if v in t[0]]
-        tables = [t for t in tables if v not in t[0]]
-        checks = [[here.index(w) for w in c] for c in covers if v in c]
-        covers = [c for c in covers if v not in c]
-
-        weight = k ** (n - 1 - v)
-        rows = {(j,): c * top + j * weight for j, c in enumerate(costs[v])}
-        for pos, u in enumerate(here):
-            if pos:
-                near = [i for i in range(pos) if masks[u] >> here[i] & 1]
-                grown = {}
-                for key, c in rows.items():
-                    banned = {key[i] for i in near}
-                    for j in range(k):
-                        if j not in banned:
-                            grown[key + (j,)] = c
-                rows = grown
-            for idx, t_rows in mine:  # join each table once its last member is in
-                if max(idx) == pos:
-                    rows = {
-                        key: c + extra[0]
-                        for key, c in rows.items()
-                        if (extra := t_rows.get(tuple([key[i] for i in idx]))) is not None
-                    }
-            for idx in checks:  # test each cover once its last member is in
-                if max(idx) == pos:
-                    rows = {key: c for key, c in rows.items() if len({key[i] for i in idx}) == k}
-            if len(rows) > MAX_TABLE_ROWS:
-                msg = f"coloring table past {MAX_TABLE_ROWS} rows at node {h.node_ids[v]}"
-                raise BudgetExceededError(msg)
-        if not rows:
-            return None
-
-        # in descending cost order the cheapest color of v is written last
-        ranked = sorted(rows.items(), key=lambda row: row[1], reverse=True)
-        best = {key[1:]: (c, key[0]) for key, c in ranked}
-        steps.append((v, scope, best))
-        if scope:
-            tables.append((scope, best))
-        else:
-            total += best[()][0]
+        v = min(alive, key=degree.__getitem__)
+        alive.remove(v)
+        # a live node's fill holds live nodes only: eliminating v clears
+        # v from exactly the members of its scope
+        mask = fill[v]
+        scope = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            scope.append(low.bit_length() - 1)
+            rest ^= low
         for u in scope:
-            fill[u] = (fill[u] | fill[v]) & ~(1 << u | 1 << v)
-
-    files = [0] * n
-    for v, scope, best in reversed(steps):
-        files[v] = best[tuple([files[u] for u in scope])][1]
-    return total // top, tuple(files)
+            fill[u] = (fill[u] | mask) & ~(1 << u | 1 << v)
+            degree[u] = fill[u].bit_count()
+        order.append(v)
+        scopes.append(tuple(scope))
+    return order, scopes

@@ -11,7 +11,9 @@ serve) must hold, together with the node, all k files.  The search
 cuts a prefix as soon as it decides a condition: a slot repeats the
 file of a slot it must differ from, or a set that must hold all k
 files (a node with every peer within its (k-1)-th distance, or all
-slots) misses more files than it has slots left.
+slots) misses more files than it has slots left.  Each slot keeps one
+bit mask of the files it may still take under the current prefix,
+built when the search reaches it, and takes its lowest bit first.
 
 A placement says which files each node stores; a capacity-c node holds
 c of them, repeats allowed, so it has comb(k + c - 1, c) choices and
@@ -105,12 +107,10 @@ def brute_force_placement(
         raise BudgetExceededError(f"{space} placements exceed the oracle budget of {budget}")
 
     rtt_i, dem_i = work.rtt_scaled, work.demands_scaled
-    # per node: all nodes by distance, nearest first, index as tie-break;
-    # sorted here, not read from NetworkSpec.nearest, so the oracle shares
-    # no order with the planner
-    order = [
-        sorted(range(n), key=lambda u, v=v: (rtt_i[v][u], u)) for v in range(n)
-    ]
+    # per node: all nodes by distance, nearest first, index as tie-break
+    # (the sort is stable); sorted here, not read from NetworkSpec.nearest,
+    # so the oracle shares no order with the planner
+    order = [sorted(range(n), key=row.__getitem__) for row in rtt_i]
     # per slot s: the earlier slots whose files s must differ from, and
     # for each cover s is in (a set that must hold all k files; all slots
     # form one) its earlier members and how many files they and s must
@@ -118,12 +118,12 @@ def brute_force_placement(
     differ: list[set[int]] = [set() for _ in range(n)]
     covers: set[tuple[int, ...]] = {tuple(range(n))}  # surjectivity
     if mode == "admissible_only" and k > 1:
-        for v in range(n):
-            # order[v] starts with v's own distance 0, so its k-th entry
-            # is at v's (k-1)-th nearest peer distance
-            far = rtt_i[v][order[v][k - 1]]
-            near = [u for u in range(n) if u == v or rtt_i[v][u] < far]
-            within = [u for u in range(n) if rtt_i[v][u] <= far]
+        for v, (row, ranked) in enumerate(zip(rtt_i, order)):
+            # ranked starts with v's own distance 0, so its k-th entry is
+            # at v's (k-1)-th nearest peer distance
+            far = row[ranked[k - 1]]
+            near = [u for u, d in enumerate(row) if d < far or u == v]
+            within = [u for u, d in enumerate(row) if d <= far]
             # k nodes holding all k files hold distinct ones
             distinct = within if len(within) == k else near
             for i, s in enumerate(distinct):
@@ -136,56 +136,69 @@ def brute_force_placement(
             need = k - (len(cover) - 1 - i)
             if need > 1:
                 needs[s].append((cover[:i], need))
+    differs = [tuple(d) for d in differ]
+    needed = [tuple(c) for c in needs]
     # each slot after the first of its node takes no file below its
     # previous sibling's
-    follows = {s for g in expanded.groups for s in g[1:]}
+    follows = [False] * n
+    for g in expanded.groups:
+        for s in g[1:]:
+            follows[s] = True
+    # per node: (slot, distance) nearest first
+    nearest = [[(u, row[u]) for u in ranked] for row, ranked in zip(rtt_i, order)]
 
     best: int | None = None
     kept: list[tuple[int, ...]] = []  # the first witness_cap + 1 optimal placements
     scored = 0
 
-    onehot = [1 << j for j in range(k)]
     every = (1 << k) - 1
     files = [0] * n
-    # stack[s]: the files slot s may still take under files[:s]
-    stack: list = []
+    held = [0] * n  # held[s] == 1 << files[s]
+    # untried[s]: the files slot s may still take under files[:s], one bit
+    # each, taken lowest first so files come in ascending order
+    untried = [0] * n
     s = 0
+    entered = True  # slot s was just reached from slot s - 1
     while s >= 0:
-        if len(stack) == s:
-            taken = onehot[files[s - 1]] - 1 if s in follows else 0
-            for t in differ[s]:
-                taken |= onehot[files[t]]
-            for earlier, need in needs[s]:
-                held = 0
+        if entered:
+            taken = held[s - 1] - 1 if follows[s] else 0
+            for t in differs[s]:
+                taken |= held[t]
+            for earlier, need in needed[s]:
+                have = 0
                 for t in earlier:
-                    held |= onehot[files[t]]
-                short = need - held.bit_count()
+                    have |= held[t]
+                short = need - have.bit_count()
                 if short == 1:  # s must bring a file the cover lacks
-                    taken |= held
+                    taken |= have
                 elif short > 1:
                     taken = every
                     break
-            stack.append(iter([j for j in range(k) if not taken & onehot[j]]))
-        j = next(stack[s], None)
-        if j is None:
-            stack.pop()
+            untried[s] = every & ~taken
+        left = untried[s]
+        if not left:
             s -= 1
+            entered = False
             continue
-        files[s] = j
+        bit = left & -left
+        untried[s] = left ^ bit
+        held[s] = bit
+        files[s] = bit.bit_length() - 1
         if s + 1 < n:
             s += 1
+            entered = True
             continue
+        entered = False
 
         # a leaf passed every check: score it, nearest holder per file
         total = 0
-        for v in range(n):
-            dist, row = rtt_i[v], dem_i[v]
+        for row, ranked in zip(dem_i, nearest):
             found = 0
-            for u in order[v]:
-                f = files[u]
-                if not found & onehot[f]:
-                    found |= onehot[f]
-                    total += row[f] * dist[u]
+            for u, d in ranked:
+                bit = held[u]
+                if not found & bit:
+                    found |= bit
+                    total += row[files[u]] * d
                     if found == every:
                         break
         scored += 1

@@ -6,15 +6,17 @@ runs on (the factorial search sums integers over the matrix's own
 common denominator), and return the same canonical optimum: the
 lexicographically smallest optimal (class, file) mapping.  The
 coloring helpers collect ``geoplan.iter_colorings`` and check
-partitions; ``receive_side_avg`` is the receive-side form of the
-average latency, and ``is_admissible`` checks a placement against one
-supply graph.  ``admissible_placements`` finds the placements that
-some supply graph admits by enumerating every supply graph and every
-coloring of it.  ``column_sort_tiers``, ``sorted_walk_floors`` and
-``min_holder_fetch`` are the per-node supplier tiers, worst-case floors
-and nearest-holder latencies computed from their definitions, each with
-its own sort or ``min``, for the one shared ``NetworkSpec.nearest``
-order to reproduce.  ``product_oracle`` is the
+partitions; ``reference_min_cost_coloring`` is the elimination as one
+loop that scans every table and cover at each step, the reference for
+``geoplan.min_cost_coloring``'s symbolic pass and buckets.
+``receive_side_avg`` is the receive-side form of the average latency,
+and ``is_admissible`` checks a placement against one supply graph.
+``admissible_placements`` finds the placements that some supply graph
+admits by enumerating every supply graph and every coloring of it.
+``column_sort_tiers``, ``sorted_walk_floors`` and ``min_holder_fetch``
+are the per-node supplier tiers, worst-case floors and nearest-holder
+latencies computed from their definitions, each with its own sort or
+``min``, for the one shared ``NetworkSpec.nearest`` order to reproduce.  ``product_oracle`` is the
 oracle's exhaustive loop over all k^slots slot functions, each
 placement counted once through its sibling-sorted representative,
 kept as the reference its depth-first search must reproduce.
@@ -38,6 +40,7 @@ from operator import itemgetter, or_
 from typing import Sequence
 
 import geoplan as gp
+from geoplan import coloring
 from geoplan.assignment import _lex_min_zero_assignment
 from geoplan.evaluation import _as_placement
 from geoplan.nngraph import SupplierTier
@@ -148,6 +151,84 @@ def enumerate_colorings(h: gp.ExtendedGraph, k: int, limit: int = 10_000) -> Col
             break
         out.append(coloring)
     return ColoringEnumeration(colorings=tuple(out), truncated=truncated)
+
+
+def reference_min_cost_coloring(
+    h: gp.ExtendedGraph,
+    costs: Sequence[Sequence[int]],
+    covers: Sequence[Sequence[int]] = (),
+) -> tuple[int, tuple[int, ...]] | None:
+    """``geoplan.min_cost_coloring`` as one interleaved loop: each step
+    picks the min-degree node on the fill masks, scans every live table
+    and cover for the ones that mention it, grows its rows as per-row
+    dicts of color tuples and sorts them to minimize the node away.
+    Same order, same ``MAX_TABLE_ROWS`` check after each position (read
+    from ``geoplan.coloring`` at call time) and the same message."""
+    n = h.node_count
+    k = len(costs[0])
+    top = k**n
+    masks = h.adjacency_masks()
+    fill = list(masks)
+    for cover in covers:
+        members = sum(1 << u for u in cover)
+        for u in cover:
+            fill[u] |= members & ~(1 << u)
+    alive = set(range(n))
+    tables: list[tuple[tuple[int, ...], dict]] = []
+    steps = []
+    total = 0
+    for _ in range(n):
+        v = min(alive, key=lambda u: (fill[u].bit_count(), u))
+        alive.discard(v)
+        scope = tuple(u for u in sorted(alive) if fill[v] >> u & 1)
+        here = (v, *scope)
+        mine = [([here.index(w) for w in t[0]], t[1]) for t in tables if v in t[0]]
+        tables = [t for t in tables if v not in t[0]]
+        checks = [[here.index(w) for w in c] for c in covers if v in c]
+        covers = [c for c in covers if v not in c]
+
+        weight = k ** (n - 1 - v)
+        rows = {(j,): c * top + j * weight for j, c in enumerate(costs[v])}
+        for pos, u in enumerate(here):
+            if pos:
+                near = [i for i in range(pos) if masks[u] >> here[i] & 1]
+                grown = {}
+                for key, c in rows.items():
+                    banned = {key[i] for i in near}
+                    for j in range(k):
+                        if j not in banned:
+                            grown[key + (j,)] = c
+                rows = grown
+            for idx, t_rows in mine:
+                if max(idx) == pos:
+                    rows = {
+                        key: c + extra[0]
+                        for key, c in rows.items()
+                        if (extra := t_rows.get(tuple([key[i] for i in idx]))) is not None
+                    }
+            for idx in checks:
+                if max(idx) == pos:
+                    rows = {key: c for key, c in rows.items() if len({key[i] for i in idx}) == k}
+            if len(rows) > coloring.MAX_TABLE_ROWS:
+                msg = f"coloring table past {coloring.MAX_TABLE_ROWS} rows at node {h.node_ids[v]}"
+                raise gp.BudgetExceededError(msg)
+        if not rows:
+            return None
+
+        ranked = sorted(rows.items(), key=lambda row: row[1], reverse=True)
+        best = {key[1:]: (c, key[0]) for key, c in ranked}
+        steps.append((v, scope, best))
+        if scope:
+            tables.append((scope, best))
+        else:
+            total += best[()][0]
+        for u in scope:
+            fill[u] = (fill[u] | fill[v]) & ~(1 << u | 1 << v)
+
+    files = [0] * n
+    for v, scope, best in reversed(steps):
+        files[v] = best[tuple([files[u] for u in scope])][1]
+    return total // top, tuple(files)
 
 
 def is_proper_partition(h: gp.ExtendedGraph, classes) -> bool:

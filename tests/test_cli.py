@@ -545,6 +545,33 @@ def test_eval_takes_a_19_digit_prime_order_at_once(tmp_path, capsys):
     assert out == "" and "unsupported field order of 20 digits" in err
 
 
+@pytest.mark.parametrize("digits", [5000, 1001])
+@pytest.mark.parametrize("payload", ["code", "placement"])
+def test_long_integers_in_code_and_placement_files_exit_5(tmp_path, capsys, payload, digits):
+    """A code or placement file holds its integers to MAX_DIGITS like a
+    network file: past it eval exits 5, before int() meets the
+    interpreter's 4,300-digit conversion limit, and prints nothing."""
+    big = "1" * digits
+    path = tmp_path / f"{payload}.json"
+    if payload == "code":
+        path.write_text(f'{{"q": {big}, "generator": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}}')
+    else:
+        path.write_text(f'[["A", 2], ["B", 1], ["C", {big}], ["D", 0]]')
+    assert cli.main(["eval", "--spec", EX1, f"--{payload}", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("budget exceeded:") and "1000 digits" in err
+
+
+def test_a_1000_digit_field_order_is_unsupported(tmp_path, capsys):
+    """At MAX_DIGITS digits q is read, and refused as a field order."""
+    path = tmp_path / "code.json"
+    path.write_text(f'{{"q": {"1" * 1000}, "generator": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]}}')
+    assert cli.main(["eval", "--spec", EX1, "--code", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "unsupported field order of 1000 digits" in err
+
+
 def test_a_malformed_long_literal_is_an_input_error(tmp_path, capsys):
     """Only a well-formed literal is refused by the digit budget; a
     malformed one is an input error however many digits it holds."""

@@ -9,7 +9,7 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec
-from crosscheck import class_of, enumerate_colorings, is_proper_partition
+from crosscheck import class_of, enumerate_colorings, is_proper_partition, reference_min_cost_coloring
 
 
 def test_example_has_unique_coloring(ex1_nng):
@@ -135,3 +135,40 @@ def test_min_cost_coloring_matches_labelings_by_force():
             if all(files[a] != files[b] for a, b in edges)
         ]
         assert gp.min_cost_coloring(h, costs) == (min(proper) if proper else None)
+
+
+def _outcome(solve, h, costs, covers):
+    try:
+        return solve(h, costs, covers)
+    except gp.BudgetExceededError as exc:
+        return f"refused: {exc}"
+
+
+def test_bucketed_elimination_equals_the_reference_loop(monkeypatch):
+    """Seeded random graphs of 1 to 12 nodes, k from 1 to 4, random
+    costs and random covers: the symbolic order and bucketed tables give
+    the reference loop's (value, files), or None with it.  With
+    MAX_TABLE_ROWS monkeypatched low, both raise the same message."""
+    rng = random.Random(53)
+    seen = {"none": 0, "solved": 0, "covered": 0, "refused": 0}
+    for _ in range(400):
+        n, k = rng.randint(1, 12), rng.randint(1, 4)
+        density = rng.choice((0.1, 0.25, 0.4))
+        edges = tuple((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density)
+        h = gp.ExtendedGraph(node_ids=tuple(f"x{i}" for i in range(n)), edges=edges)
+        costs = [[rng.randint(-3, 9) for _ in range(k)] for _ in range(n)]
+        covers = [
+            tuple(rng.sample(range(n), rng.randint(min(n, max(1, k - 1)), min(n, k + 2))))
+            for _ in range(rng.choice((0, 0, 1, 2, 3)))
+        ]
+        want = reference_min_cost_coloring(h, costs, covers)
+        assert gp.min_cost_coloring(h, costs, covers) == want
+        seen["none" if want is None else "solved"] += 1
+        seen["covered"] += bool(covers) and want is not None
+        limit = rng.choice((1, 4, 16, 64))
+        with monkeypatch.context() as patch:
+            patch.setattr(gp.coloring, "MAX_TABLE_ROWS", limit)
+            want = _outcome(reference_min_cost_coloring, h, costs, covers)
+            assert _outcome(gp.min_cost_coloring, h, costs, covers) == want
+        seen["refused"] += isinstance(want, str)
+    assert min(seen.values()) >= 40, seen

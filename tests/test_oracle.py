@@ -382,3 +382,38 @@ def test_sibling_sorted_search_equals_product_loop():
                 for files in w.files_by_node
             )
     assert min(seen.values()) >= 10, seen
+
+
+def test_four_file_search_equals_product_loop():
+    """Thirty networks with k = 4, capacities 1 or 2 and at most 6 slots,
+    where the slowest verify instances live: both modes, at witness caps
+    0, 1, 2 and 64, against the product loop over every sibling-sorted
+    slot function."""
+    rng = random.Random(337)
+    caps = (0, 1, 2, 64)
+    seen = {"infeasible": 0, "multi_witness": 0, "multi_capacity": 0}
+    checked = 0
+    while checked < 30:
+        n = rng.randint(2, 6)
+        capacities = [rng.choice((1, 1, 2)) for _ in range(n)]
+        if not 4 <= sum(capacities) <= 6:
+            continue
+        rtt = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                rtt[u][v] = rtt[v][u] = rng.randint(1, 4)
+        weights = [[rng.randint(0, 4) for _ in range(4)] for _ in range(n)]
+        weights[0][0] += 1
+        total = sum(map(sum, weights))
+        demands = [[F(w, total) for w in row] for row in weights]
+        spec = gp.make_spec([f"q{i}" for i in range(n)], rtt, demands, 4, capacities=capacities)
+        checked += 1
+        for mode in gp.oracle.MODES:
+            expected = product_oracle(spec, mode, caps)
+            for cap, want in zip(caps, expected):
+                got = gp.brute_force_placement(spec, mode, witness_cap=cap)
+                assert got == want, (checked, mode, cap)
+            seen["infeasible"] += expected[-1].best_value is None
+            seen["multi_witness"] += len(expected[-1].witnesses) > 1
+        seen["multi_capacity"] += max(capacities) > 1
+    assert min(seen.values()) >= 5, seen
