@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 
 from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
@@ -192,7 +192,9 @@ class RecoveryPlan:
 
 
 def _code_matrix(spec: NetworkSpec, code: LinearCode):
-    """Validate shape, coerce entries, return (field, k x n matrix)."""
+    """Validate shape and return ``(field, columns)``: ``columns[s]`` is
+    node s's generator row, coerced once (a binary-field entry outside
+    the field is refused, a prime-field entry read as its residue)."""
     if not spec.is_unit_capacity:
         raise InvalidSpecError("coded storage assumes one symbol per node; expand first")
     n = spec.node_count
@@ -202,8 +204,7 @@ def _code_matrix(spec: NetworkSpec, code: LinearCode):
     if any(len(row) != k for row in code.generator):
         raise InvalidInputError(f"every generator row must have {k} entries")
     f = field(code.field_order)
-    columns = [[f.coerce(code.generator[s][j]) for s in range(n)] for j in range(k)]
-    return f, columns
+    return f, [tuple(map(f.coerce, row)) for row in code.generator]
 
 
 def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport, RecoveryPlan]:
@@ -212,27 +213,30 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
     Node v's latency for file j is the smallest radius around v whose
     stored symbols decode j, i.e. whose generator columns span e_j
     (contacting itself is free).  The recovery vector is canonical:
-    ``solution_space`` walks the columns in (RTT from v, node index)
-    order, which is ``spec.nearest[v]``, keeps each column independent
-    of those kept before it and stops at the k-th; the vector solves
-    G x = e_j on the kept columns with every other entry zero.  The
-    kept columns are the first independent ones in distance order, so
-    the vector's farthest nonzero entry lies on exactly that smallest
-    radius.
+    ``solution_space`` walks the nodes' columns in (RTT from v, node
+    index) order, which is ``spec.nearest[v]``, keeps each column
+    independent of those kept before it and stops at the k-th; the
+    vector solves G x = e_j on the kept nodes with every other entry
+    zero.  The kept columns are the first independent ones in distance
+    order, so the fetch, the largest RTT over the vector's nonzero
+    entries, is exactly that smallest radius.
     """
-    f, matrix = _code_matrix(spec, code)
+    f, columns = _code_matrix(spec, code)
     n = spec.node_count
     k = spec.file_count
     fetch: list[list[int]] = []
     chosen: list[tuple[tuple[int, ...], ...]] = []
     for order, dist in zip(spec.nearest, spec.rtt_scaled):
-        particulars = solution_space(f, [[g[s] for s in order] for g in matrix])
-        ranked = [dist[s] for s in order]  # RTT to the column at each position
-        position = [0] * n  # node s is column position[s] of the ordered matrix
-        for i, s in enumerate(order):
-            position[s] = i
-        fetch.append([max(compress(ranked, y)) for y in particulars])
-        chosen.append(tuple([tuple([y[i] for i in position]) for y in particulars]))
+        kept, coefficients = solution_space(f, [columns[s] for s in order], k)
+        nodes = [order[i] for i in kept]
+        fetch.append([max(dist[s] for s, a in zip(nodes, y) if a) for y in coefficients])
+        vectors = []
+        for y in coefficients:
+            x = [f.zero] * n
+            for s, a in zip(nodes, y):
+                x[s] = a
+            vectors.append(tuple(x))
+        chosen.append(tuple(vectors))
     report = _finish_report(spec, fetch)
     plan = RecoveryPlan(node_ids=spec.node_ids, file_count=k, vectors=tuple(chosen))
     return report, plan
@@ -241,16 +245,14 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
 def code_is_admissible(spec: NetworkSpec, code: LinearCode, nng: NearestNeighborGraph) -> bool:
     """Whether every node can decode all files from its closed in-set
     alone (the stored symbols there span the full message space)."""
-    f, matrix = _code_matrix(spec, code)
+    f, columns = _code_matrix(spec, code)
     k = spec.file_count
     if spec.node_ids != nng.node_ids:
         raise InvalidInputError("graph and network disagree on nodes")
-    for v in range(spec.node_count):
-        cols = nng.closed_in(v)
-        sub = [[matrix[i][s] for s in cols] for i in range(k)]
-        if matrix_rank(f, sub) < k:
-            return False
-    return True
+    return all(
+        matrix_rank(f, [columns[s] for s in nng.closed_in(v)], k) == k
+        for v in range(spec.node_count)
+    )
 
 
 def _smallest_field_order(minimum: int) -> int:

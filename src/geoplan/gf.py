@@ -6,12 +6,13 @@ fields, bit representations of polynomials for binary fields.  Other
 prime powers are rejected.  Primality is decided by a deterministic
 Miller-Rabin test, so a large prime order costs microseconds.
 
-The linear algebra is one elimination, ``_eliminate``: it walks a
-matrix's columns in the order given, keeps each column independent of
-those kept before it, and stops at the k-th, one whole-row operation
-(``sub_scaled``, one per field class) at a time.  ``solution_space``
-solves G x = e_j on the kept columns and ``matrix_rank`` counts them.
-The evaluator passes each node's columns in (RTT, node index) order,
+The linear algebra is one elimination, ``_eliminate``, on a k-row
+matrix given as its columns of field elements in the order to walk: it
+keeps each column independent of those kept before it and stops at the
+k-th, one whole-row operation (``sub_scaled``, one per field class) at
+a time.  ``solution_space`` solves G x = e_j on the kept columns and
+``matrix_rank`` counts them; neither coerces.  The evaluator passes each
+node's coerced generator row, its column, in (RTT, node index) order,
 so the solve stops at the k-th independent column in that order.
 """
 
@@ -221,34 +222,26 @@ def _eliminate(f, columns, k: int):
     return kept, basis
 
 
-def matrix_rank(f, matrix) -> int:
-    rows = [list(map(f.coerce, row)) for row in matrix]
-    kept, _ = _eliminate(f, zip(*rows), len(rows))
-    return len(kept)
+def matrix_rank(f, columns, k: int) -> int:
+    """Rank of the k-row matrix whose columns of field elements are ``columns``."""
+    return len(_eliminate(f, columns, k)[0])
 
 
-def solution_space(f, matrix):
-    """For a full-row-rank k x n matrix G, solve G x = e_j for every j.
+def solution_space(f, columns, k: int):
+    """For a rank-k matrix G given by its k-entry ``columns`` of field
+    elements, solve G x = e_j for every j.
 
-    Returns ``particulars`` where ``particulars[j]`` is the solution of
-    G x = e_j supported on the first k independent columns of G, the
-    pivot columns of its row reduction: every free variable is zero.
-    The elimination stops at the k-th independent column, so columns
-    after it are never reduced.
+    Returns ``(kept, coefficients)``: ``kept`` lists the positions of
+    the first k independent columns, the pivot columns of G's row
+    reduction, in increasing order, and ``coefficients[j][i]`` is the
+    entry at ``kept[i]`` of the solution of G x = e_j; every other
+    entry, each free variable, is zero.  The elimination stops at the
+    k-th independent column, so columns after it are never reduced.
     """
-    rows = [list(map(f.coerce, row)) for row in matrix]
-    k = len(rows)
-    n = len(rows[0]) if k else 0
-    kept, basis = _eliminate(f, zip(*rows), k)
+    kept, basis = _eliminate(f, columns, k)
     if len(kept) < k:
         raise InvalidInputError("generator matrix is rank deficient")
-    particulars = []
-    for j in range(k):
-        x = [f.zero] * n
-        for c, a in zip(kept, basis[j][k:]):
-            x[c] = a
-        particulars.append(tuple(x))
-    return particulars
+    return kept, [basis[j][k:] for j in range(k)]
 
 
 def cauchy_matrix(f, xs, ys):

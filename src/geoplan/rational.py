@@ -36,6 +36,8 @@ from .errors import BudgetExceededError
 #: every derived value stays well inside what ``str(int)`` prints (4,300).
 MAX_DIGITS = 1000
 _BOUND = 10**MAX_DIGITS  # built once: each power costs microseconds
+#: Digits after the point in ``frac_decimal``.
+DECIMAL_PLACES = 6
 #: A run of digits, single underscores allowed between them as ``int`` does.
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 #: A decimal literal with an exponent, as ``Fraction`` reads one.
@@ -165,9 +167,10 @@ def frac_str(value: Fraction) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
-def frac_decimal(value: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal rendering with round-half-to-even."""
+def frac_decimal(value: Fraction) -> str:
+    """Fixed-point decimal rendering to ``DECIMAL_PLACES`` places with
+    round-half-to-even."""
     f = Fraction(value)
     # round() of a Fraction rounds half to even
-    digits = str(round(abs(f) * 10**places)).rjust(places + 1, "0")
-    return f"{'-' if f < 0 else ''}{digits[:-places]}.{digits[-places:]}"
+    digits = str(round(abs(f) * 10**DECIMAL_PLACES)).rjust(DECIMAL_PLACES + 1, "0")
+    return f"{'-' if f < 0 else ''}{digits[:-DECIMAL_PLACES]}.{digits[-DECIMAL_PLACES:]}"

@@ -499,8 +499,9 @@ def rref_matrix_rank(f, matrix) -> int:
 
 
 def rref_solution_space(f, matrix):
-    """``gf.solution_space`` from the row reduction: x[pivot_i] is row i of
-    the transform, so G x = e_j with every free variable zero."""
+    """``gf.solution_space``'s solutions, spread over all n entries, from
+    the row reduction of a row-major matrix: x[pivot_i] is row i of the
+    transform, so G x = e_j with every free variable zero."""
     rows = [[f.coerce(x) for x in row] for row in matrix]
     k = len(rows)
     n = len(rows[0]) if k else 0

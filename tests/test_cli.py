@@ -527,6 +527,33 @@ def test_eval_refuses_a_code_entry_that_is_not_an_integer(tmp_path, capsys, entr
     assert err.startswith("error:") and f"{entry!r} is not an integer" in err
 
 
+@pytest.mark.parametrize("entry", [8, 11, -1])
+def test_eval_refuses_a_binary_field_entry_outside_the_field(tmp_path, capsys, entry):
+    code = gp.mds_code(4, 3, field_order=8).to_dict()
+    code["generator"][1][2] = entry
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(code))
+    assert cli.main(["eval", "--spec", EX1, "--code", str(code_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and f"{entry} is not an element of GF(2^3)" in err
+
+
+def test_eval_reads_a_prime_field_entry_as_its_residue(tmp_path, capsys):
+    code = gp.mds_code(4, 3, field_order=7).to_dict()
+    outputs = []
+    for shift in (0, 7, -14):
+        code["generator"][1][2] += shift
+        code_file = tmp_path / "code.json"
+        code_file.write_text(json.dumps(code))
+        out_file = tmp_path / "eval.json"
+        assert cli.main(["eval", "--spec", EX1, "--code", str(code_file), "--out", str(out_file)]) == 0
+        outputs.append(out_file.read_text())
+    assert code["generator"][1][2] < 0
+    assert outputs[0] == outputs[1] == outputs[2]
+    capsys.readouterr()
+
+
 def test_eval_takes_a_19_digit_prime_order_at_once(tmp_path, capsys):
     """Miller-Rabin decides q at once, where trial division took minutes;
     an order from 2^64 is refused by its digit count."""

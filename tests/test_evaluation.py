@@ -266,6 +266,36 @@ def test_eval_code_shape_checks(ex1):
         gp.eval_linear_code(ex1, gp.LinearCode(7, ((1, 0),) * 4))
 
 
+@pytest.mark.parametrize("entry", [4, 7, -1, -4])
+def test_binary_field_entries_outside_the_field_are_refused(entry):
+    spec = micro_spec()
+    code = gp.LinearCode(4, ((1, 0), (0, entry), (1, 1)))
+    with pytest.raises(gp.InvalidInputError, match=rf"^{entry} is not an element of GF\(2\^2\)$"):
+        gp.eval_linear_code(spec, code)
+
+
+def test_the_first_entry_outside_the_field_in_file_order_is_named():
+    code = gp.LinearCode(8, ((1, 9), (8, 1), (1, 1)))
+    with pytest.raises(gp.InvalidInputError, match=r"^9 is not an element of GF\(2\^3\)$"):
+        gp.eval_linear_code(micro_spec(), code)
+
+
+@pytest.mark.parametrize("shift", [-2, -1, 1, 3])
+def test_prime_field_entries_are_read_as_their_residues(ex1, ex1_nng, shift):
+    code = gp.mds_code(4, 3, field_order=7)
+    rng = random.Random(shift)
+    moved = gp.LinearCode(7, tuple(
+        tuple(x + 7 * shift * rng.randint(0, 1) for x in row) for row in code.generator
+    ))
+    assert moved.generator != code.generator
+    assert any(x < 0 or x >= 7 for row in moved.generator for x in row)
+    report, plan = gp.eval_linear_code(ex1, code)
+    again, replan = gp.eval_linear_code(ex1, moved)
+    assert again.to_dict() == report.to_dict()
+    assert replan.to_dict() == plan.to_dict()
+    assert gp.code_is_admissible(ex1, moved, ex1_nng)
+
+
 def test_code_round_trip():
     code = gp.mds_code(4, 3)
     again = gp.LinearCode.from_dict(code.to_dict())
@@ -285,20 +315,20 @@ def test_mds_meets_bounds_on_random_instances():
         assert report.meets_bounds()
 
 
-def _decoding_radii(f, columns, dist):
+def _decoding_radii(f, generator, k, dist):
     """Latency of one node for every file, straight from the definition:
     the least, over node sets S whose columns span e_j, of the farthest
-    distance to a member of S."""
-    k, n = len(columns), len(columns[0])
+    distance to a member of S.  Node s's column is ``generator[s]``."""
+    n = len(generator)
     radii = [None] * k
     for mask in range(1, 1 << n):
         members = [s for s in range(n) if mask >> s & 1]
-        sub = [[row[s] for s in members] for row in columns]
-        rank = matrix_rank(f, sub)
+        sub = [generator[s] for s in members]
+        rank = matrix_rank(f, sub, k)
         far = max(dist[s] for s in members)
         for j in range(k):
-            aug = [row + [int(i == j)] for i, row in enumerate(sub)]
-            if matrix_rank(f, aug) == rank and (radii[j] is None or far < radii[j]):
+            aug = sub + [tuple(int(i == j) for i in range(k))]
+            if matrix_rank(f, aug, k) == rank and (radii[j] is None or far < radii[j]):
                 radii[j] = far
     return radii
 
@@ -312,8 +342,7 @@ def test_code_latency_matches_decoding_definition():
         k = rng.randint(1, min(n, 4))
         f = field(q)
         generator = tuple(tuple(rng.randrange(q) for _ in range(k)) for _ in range(n))
-        columns = [[generator[s][j] for s in range(n)] for j in range(k)]
-        if matrix_rank(f, columns) < k:
+        if matrix_rank(f, generator, k) < k:
             continue
         # few distinct distances, so ties in the column order are common
         rtt = [[0] * n for _ in range(n)]
@@ -325,7 +354,7 @@ def test_code_latency_matches_decoding_definition():
         )
         report, plan = gp.eval_linear_code(spec, gp.LinearCode(q, generator))
         for v in range(n):
-            assert list(report.latencies[v]) == _decoding_radii(f, columns, rtt[v])
+            assert list(report.latencies[v]) == _decoding_radii(f, generator, k, rtt[v])
             for j, x in enumerate(plan.vectors[v]):
                 for i in range(k):
                     total = f.zero

@@ -117,19 +117,43 @@ def _mat_mul(f, left, right):
     return out
 
 
+def _columns(f, rows):
+    """The columns of a row-major matrix, coerced row by row as a code
+    file's generator is."""
+    return list(zip(*[[f.coerce(x) for x in row] for row in rows]))
+
+
+def _rank(f, rows):
+    return matrix_rank(f, _columns(f, rows), len(rows))
+
+
+def _solve(f, rows):
+    """``solution_space`` on a row-major matrix, each solution spread
+    over all n entries as the reference returns it."""
+    columns = _columns(f, rows)
+    kept, coefficients = solution_space(f, columns, len(rows))
+    particulars = []
+    for y in coefficients:
+        x = [f.zero] * len(columns)
+        for c, a in zip(kept, y):
+            x[c] = a
+        particulars.append(tuple(x))
+    return particulars
+
+
 def test_matrix_rank():
     f = field(3)
-    assert matrix_rank(f, [[1, 2], [2, 2]]) == 2
+    assert _rank(f, [[1, 2], [2, 2]]) == 2
     # det(((1,2),(2,1))) = -3, zero mod 3, so the rows collapse
-    assert matrix_rank(f, [[1, 2], [2, 1]]) == 1
-    assert matrix_rank(f, [[1, 2], [2, 4]]) == 1
-    assert matrix_rank(f, []) == 0
+    assert _rank(f, [[1, 2], [2, 1]]) == 1
+    assert _rank(f, [[1, 2], [2, 4]]) == 1
+    assert _rank(f, []) == 0
 
 
 def test_solution_space_solves_each_unit_vector():
     f = field(2)
     matrix = [[1, 0, 1], [0, 1, 1]]
-    particulars = solution_space(f, matrix)
+    particulars = _solve(f, matrix)
     assert len(particulars) == 2
     for j, x in enumerate(particulars):
         col = _mat_mul(f, matrix, [[e] for e in x])
@@ -140,7 +164,7 @@ def test_solution_space_solves_each_unit_vector():
 def test_solution_space_rank_deficient():
     f = field(3)
     with pytest.raises(InvalidInputError):
-        solution_space(f, [[1, 2, 0], [2, 4, 0]])
+        _solve(f, [[1, 2, 0], [2, 4, 0]])
 
 
 def _outcome(solve, f, matrix):
@@ -175,8 +199,8 @@ def test_elimination_matches_the_row_reduction(q):
                 elif shape == 4:  # a cell past q: reduced mod p, refused in GF(2^m)
                     rows[rng.randrange(k)][rng.randrange(n)] = q + rng.randrange(q)
                 expect = _outcome(rref_solution_space, f, rows)
-                assert _outcome(solution_space, f, rows) == expect
-                assert _outcome(matrix_rank, f, rows) == _outcome(rref_matrix_rank, f, rows)
+                assert _outcome(_solve, f, rows) == expect
+                assert _outcome(_rank, f, rows) == _outcome(rref_matrix_rank, f, rows)
                 deficient += expect == "generator matrix is rank deficient"
     assert deficient > 0
 
@@ -190,7 +214,7 @@ def test_cauchy_matrix_submatrices_invertible():
             rows = rng.sample(range(4), size)
             cols = rng.sample(range(3), size)
             sub = [[matrix[r][c] for c in cols] for r in rows]
-            assert matrix_rank(f, sub) == size
+            assert _rank(f, sub) == size
 
 
 def test_cauchy_matrix_rejects_collisions():
