@@ -7,9 +7,13 @@ bucket elimination (Dechter, Artificial Intelligence 113, 1999) along a
 min-degree order: its work grows with the elimination width, not with
 the number of colorings.  A symbolic pass on the fill bit masks fixes
 the order and every step's scope before any table is built; each cover
-and each table is then filed once, in the bucket of its
-first-eliminated member, and a numeric pass joins each bucket's
-tables.  ``iter_colorings`` enumerates every partition by backtracking,
+and each table over two or more nodes is then filed once, in the
+bucket of its first-eliminated member, and a numeric pass joins each
+bucket's tables.  A table over one node is k costs, added into that
+node's own; a node with at most one node in scope and an empty bucket
+goes by a vector step over its k costs, the tree step of nonserial
+dynamic programming (Bertele and Brioschi, 1972), with no row table.
+``iter_colorings`` enumerates every partition by backtracking,
 with two symmetry breaks: a seed clique (found greedily, and in
 conflict graphs every closed in-neighborhood is one) is placed first so
 its members pin the k classes, and classes are only opened in
@@ -64,12 +68,22 @@ def _greedy_clique(h: ExtendedGraph, stop_above: int) -> tuple[int, ...]:
     masks = h.adjacency_masks()
     n = h.node_count
     order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for a, b in h.edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    # each node's neighbors, in that order: no other node can join a
+    # clique that holds the seed
+    near: list[list[int]] = [[] for _ in range(n)]
+    for u in order:
+        for w in adjacent[u]:
+            near[w].append(u)
     best: tuple[int, ...] = ()
     for seed in order:
         clique = [seed]
         clique_mask = 1 << seed
-        for u in order:
-            if u == seed or (clique_mask >> u) & 1:
+        for u in near[seed]:
+            if (clique_mask >> u) & 1:
                 continue
             if masks[u] & clique_mask == clique_mask:
                 clique.append(u)
@@ -166,6 +180,21 @@ def min_cost_coloring(
     minimizes v away into a table over the scope.  A step that keeps no
     row proves that no such coloring exists.
 
+    A table over one node u is not filed: its k entries are added into
+    u's own k costs.  It always holds all k colors, because conflict
+    edges and covers read the same under any renaming of the colors:
+    if some row keeps one color of u, some row keeps each.  Node v goes
+    by a vector step when its scope is at most one node u and its
+    bucket holds no cover and no table.  Then u is a conflict neighbor
+    of v (a fill edge without a conflict edge always comes with a table
+    or cover over both nodes in v's bucket), so for each color of u, v
+    takes its cheapest color, or its second cheapest where u holds that
+    one; with an empty scope v adds its cheapest cost to the total.
+    Such a step stands for at most k * k rows, and it runs only when
+    k * k is within ``MAX_TABLE_ROWS`` (read at call time), so the
+    budget could not have refused it: every refusal, and the node it
+    names, is the one the row tables alone would give.
+
     Ties go to the lexicographically smallest ``files``: every cost is
     scaled by k^n and node s adds files[s] * k^(n-1-s), so no two
     colorings total the same and the optimum is unique.
@@ -182,20 +211,50 @@ def min_cost_coloring(
     step = [0] * n
     for i, v in enumerate(order):
         step[v] = i
-    # bucket i: the covers and tables whose first-eliminated member is order[i]
+    # bucket i: the covers and the tables over two or more nodes whose
+    # first-eliminated member is order[i]
     cover_bucket: list[list[Sequence[int]]] = [[] for _ in range(n)]
     for cover in covers:
         if cover:
             cover_bucket[min(map(step.__getitem__, cover))].append(cover)
     table_bucket: list[list[tuple[tuple[int, ...], dict]]] = [[] for _ in range(n)]
-    grow = [(1 << j,) for j in range(k)]  # a row holds each color j as the bit 1 << j
+    bits = [1 << j for j in range(k)]  # a row holds each color j as the bit 1 << j
+    grow = [(b,) for b in bits]
     free = _Free(grow)
-    # per step: {colors of the scope: cheapest color of its node}, or that
-    # color when the scope is empty
+    # per node: its k costs, tie-break included, with every table over
+    # that node alone added in
+    vectors: list[list[int]] = []
+    weight = top
+    for row in costs:
+        weight //= k  # k^(n-1-s) for node s
+        vectors.append([c * top + j * weight for j, c in enumerate(row)])
+    vector_steps = k * k <= MAX_TABLE_ROWS
+    # per step: {colors of the scope: cheapest color of its node}, v's two
+    # cheapest colors after a vector step, or v's color when the scope is empty
     choice: list = []
     total = 0
     for i, v in enumerate(order):
         scope = scopes[i]
+        own = vectors[v]
+        if vector_steps and len(scope) < 2 and not table_bucket[i] and not cover_bucket[i]:
+            if not scope:
+                low = min(own)
+                total += low
+                choice.append(bits[own.index(low)])
+                continue
+            if k == 1:
+                return None  # v and its conflict neighbor need two colors
+            # for each color of u, v takes its cheapest color, or its second
+            # cheapest where u holds that one
+            low, second = sorted(own)[:2]
+            first = own.index(low)
+            table = [low] * k
+            table[first] = second
+            u = scope[0]
+            vectors[u] = list(map(add, vectors[u], table))
+            choice.append((bits[first], bits[own.index(second)]))
+            continue
+
         here = (v, *scope)
         # per position: the tables to join and the covers to test once
         # their last member is in
@@ -209,9 +268,7 @@ def min_cost_coloring(
             idx = [at[w] for w in cover]
             checks[max(idx)].append(itemgetter(idx[0], *idx))  # a tuple even for one member
 
-        weight = k ** (n - 1 - v)
-        keys = grow
-        vals = [c * top + j * weight for j, c in enumerate(costs[v])]
+        keys, vals = grow, own
         for pos, u in enumerate(here):
             if pos:
                 near = [p for p in range(pos) if masks[u] >> here[p] & 1]
@@ -258,12 +315,20 @@ def min_cost_coloring(
                 cheapest[r] = c
                 best[r] = b
         choice.append(best)
-        table_bucket[min(map(step.__getitem__, scope))].append((scope, cheapest))
+        if len(scope) == 1:
+            vectors[scope[0]] = list(map(add, vectors[scope[0]], map(cheapest.__getitem__, bits)))
+        else:
+            table_bucket[min(map(step.__getitem__, scope))].append((scope, cheapest))
 
     colors = [0] * n  # each node's color as its bit
     for i in reversed(range(n)):
-        scope = scopes[i]
-        colors[order[i]] = choice[i][itemgetter(*scope)(colors)] if scope else choice[i]
+        scope, pick = scopes[i], choice[i]
+        if type(pick) is tuple:
+            first, second = pick
+            pick = second if colors[scope[0]] == first else first
+        elif scope:
+            pick = pick[itemgetter(*scope)(colors)]
+        colors[order[i]] = pick
     return total // top, tuple(b.bit_length() - 1 for b in colors)
 
 

@@ -141,6 +141,8 @@ def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
     ``rtt_scaled[v][s]``, the row of v.  Every spec ``require_valid``
     accepts is symmetric, so rows and columns agree; on an unvalidated
     asymmetric matrix, v's suppliers are the peers nearest from v.
+    Like ``nearest``, this assumes a zero diagonal and no negative RTT,
+    so v sits among the first nodes at distance 0.
     """
     _check_buildable(spec)
     need = spec.file_count - 1
@@ -148,12 +150,15 @@ def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
         return (SupplierTier(0, (), (), 0),) * spec.node_count
     tiers = []
     for v, (order, dist) in enumerate(zip(spec.nearest, spec.rtt_scaled)):
-        others = [s for s in order if s != v]
-        threshold = dist[others[need - 1]]
-        start = bisect_left(others, threshold, hi=need - 1, key=dist.__getitem__)
-        end = bisect_right(others, threshold, lo=need, key=dist.__getitem__)
-        forced = tuple(sorted(others[:start]))
-        tiers.append(SupplierTier(threshold, forced, tuple(others[start:end]), need - start))
+        # v precedes its (k-1)-th nearest peer unless both are at distance
+        # 0, so that peer's distance is that of order[need] either way
+        threshold = dist[order[need]]
+        start = bisect_left(order, threshold, hi=need, key=dist.__getitem__)
+        end = bisect_right(order, threshold, lo=need + 1, key=dist.__getitem__)
+        forced = sorted(order[:start])
+        tied = list(order[start:end])
+        (forced if threshold else tied).remove(v)
+        tiers.append(SupplierTier(threshold, tuple(forced), tuple(tied), need - len(forced)))
     return tuple(tiers)
 
 
@@ -238,16 +243,9 @@ def first_supply_graph(
 def build_extended_graph(nng: NearestNeighborGraph) -> ExtendedGraph:
     """Undirected extension: node-to-supplier edges plus supplier cliques."""
     edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-
     for v, sources in enumerate(nng.in_neighbors):
-        for s in sources:
-            add(v, s)
-        for a, b in combinations(sources, 2):
-            add(a, b)
+        # every pair of the closed in-neighborhood, as (lower, higher)
+        edges.update(combinations(sorted((v, *sources)), 2))
     return ExtendedGraph(node_ids=nng.node_ids, edges=tuple(sorted(edges)))
 
 

@@ -8,7 +8,10 @@ lexicographically smallest optimal (class, file) mapping.  The
 coloring helpers collect ``geoplan.iter_colorings`` and check
 partitions; ``reference_min_cost_coloring`` is the elimination as one
 loop that scans every table and cover at each step, the reference for
-``geoplan.min_cost_coloring``'s symbolic pass and buckets.
+``geoplan.min_cost_coloring``'s symbolic pass, buckets and vector
+steps; ``reference_greedy_clique`` is the clique search that scans
+every node for every seed, which ``coloring._greedy_clique``
+reproduces from each seed's neighbors alone.
 ``receive_side_avg`` is the receive-side form of the average latency,
 and ``is_admissible`` checks a placement against one supply graph.
 ``admissible_placements`` finds the placements that some supply graph
@@ -229,6 +232,31 @@ def reference_min_cost_coloring(
     for v, scope, best in reversed(steps):
         files[v] = best[tuple([files[u] for u in scope])][1]
     return total // top, tuple(files)
+
+
+def reference_greedy_clique(h: gp.ExtendedGraph, stop_above: int) -> tuple[int, ...]:
+    """``coloring._greedy_clique`` as a scan of every node, in degree
+    order, for every seed."""
+    masks = h.adjacency_masks()
+    n = h.node_count
+    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
+    best: tuple[int, ...] = ()
+    for seed in order:
+        clique = [seed]
+        clique_mask = 1 << seed
+        for u in order:
+            if u == seed or (clique_mask >> u) & 1:
+                continue
+            if masks[u] & clique_mask == clique_mask:
+                clique.append(u)
+                clique_mask |= 1 << u
+                if len(clique) > stop_above:
+                    return tuple(sorted(clique))
+        if len(clique) > len(best):
+            best = tuple(sorted(clique))
+            if len(best) > stop_above:
+                break
+    return best
 
 
 def is_proper_partition(h: gp.ExtendedGraph, classes) -> bool:

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import geoplan as gp
 from conftest import random_spec
-from crosscheck import class_of, enumerate_colorings, is_proper_partition, reference_min_cost_coloring
+from crosscheck import (
+    class_of,
+    enumerate_colorings,
+    is_proper_partition,
+    reference_greedy_clique,
+    reference_min_cost_coloring,
+)
+from geoplan.nngraph import supplier_tiers
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_example_has_unique_coloring(ex1_nng):
@@ -172,3 +184,103 @@ def test_bucketed_elimination_equals_the_reference_loop(monkeypatch):
             assert _outcome(gp.min_cost_coloring, h, costs, covers) == want
         seen["refused"] += isinstance(want, str)
     assert min(seen.values()) >= 40, seen
+
+
+def _forest(rng, n, shape):
+    """The edges of a path, a star or a random forest on n shuffled nodes."""
+    label = list(range(n))
+    rng.shuffle(label)
+    if shape == "path":
+        pairs = [(label[i - 1], label[i]) for i in range(1, n)]
+    elif shape == "star":
+        pairs = [(label[0], label[i]) for i in range(1, n)]
+    else:
+        pairs = [(label[rng.randrange(i)], label[i]) for i in range(1, n) if rng.random() < 0.7]
+    return {(min(pair), max(pair)) for pair in pairs}
+
+
+def _vector_steps(h, covers):
+    """Each step's scope, and whether it is a vector step: a scope of at
+    most one node, and no cover and no table over two or more nodes in
+    its bucket."""
+    order, scopes = gp.coloring._elimination_order(h.adjacency_masks(), covers)
+    step = {v: i for i, v in enumerate(order)}
+    filed = {min(map(step.get, c)) for c in covers if c}
+    filed |= {min(map(step.get, scope)) for scope in scopes if len(scope) > 1}
+    return scopes, [len(scope) < 2 and i not in filed for i, scope in enumerate(scopes)]
+
+
+def test_vector_steps_equal_the_reference_loop(monkeypatch):
+    """Paths, stars and forests of 1 to 10 nodes, k from 1 to 4, some
+    with extra edges and covers: the vector steps give the reference
+    loop's (value, files), or None with it, alone, at the root of every
+    component and mixed with wider steps and covers.  With
+    MAX_TABLE_ROWS at k*k - 1, where every step takes the row tables,
+    and at k*k, where vector steps start, both raise the same message."""
+    rng = random.Random(61)
+    seen = {"vector": 0, "roots": 0, "no row": 0, "mixed": 0, "refused below": 0, "refused at": 0}
+    for k in range(1, 5):
+        for trial in range(120):
+            n = rng.randint(1, 10)
+            edges = _forest(rng, n, ("path", "star", "forest")[trial % 3])
+            covers = []
+            if n > 2 and trial % 2:
+                for _ in range(rng.randint(1, 3)):
+                    a, b = sorted(rng.sample(range(n), 2))
+                    edges.add((a, b))
+                covers = [tuple(rng.sample(range(n), min(n, k + rng.randint(0, 1))))]
+            ids = tuple(f"x{i}" for i in range(n))
+            h = gp.ExtendedGraph(node_ids=ids, edges=tuple(sorted(edges)))
+            costs = [[rng.randint(-3, 9) for _ in range(k)] for _ in range(n)]
+            want = reference_min_cost_coloring(h, costs, covers)
+            assert gp.min_cost_coloring(h, costs, covers) == want
+            scopes, vector = _vector_steps(h, covers)
+            if want is None:
+                seen["no row"] += any(v and s for v, s in zip(vector, scopes))
+            else:
+                seen["vector"] += any(v and s for v, s in zip(vector, scopes))
+                seen["roots"] += sum(v and not s for v, s in zip(vector, scopes)) > 1
+                seen["mixed"] += any(vector) and any(len(s) > 1 for s in scopes) and bool(covers)
+            for limit, key in ((k * k - 1, "refused below"), (k * k, "refused at")):
+                with monkeypatch.context() as patch:
+                    patch.setattr(gp.coloring, "MAX_TABLE_ROWS", limit)
+                    want = _outcome(reference_min_cost_coloring, h, costs, covers)
+                    assert _outcome(gp.min_cost_coloring, h, costs, covers) == want
+                seen[key] += isinstance(want, str)
+    assert min(seen.values()) >= 20, seen
+
+
+def _bench_conflict_graphs():
+    """The conflict graph ``plan`` builds for each seed-1 instance of the
+    benchmark's planning workloads."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import generate
+    finally:
+        sys.path.remove(str(BENCH))
+    params = json.loads((BENCH / "workloads.json").read_text())
+    for name in ("plan-k2-geo", "plan-k3-infeasible", "verify-small"):
+        for inst in generate(name, params[name], 1):
+            work = gp.expand_multifile(gp.spec_from_dict(inst.network)).network
+            shared = tuple(t.shared for t in supplier_tiers(work))
+            yield gp.build_extended_graph(gp.NearestNeighborGraph(work.node_ids, shared))
+
+
+def test_greedy_clique_walks_each_seeds_neighbors_alone():
+    """Seeded random graphs and the benchmark's conflict graphs: the
+    clique search over each seed's neighbors returns the clique of the
+    scan over every node, for every stop_above from 1 to 4."""
+    rng = random.Random(67)
+    graphs = list(_bench_conflict_graphs())
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        density = rng.choice((0.15, 0.3, 0.5, 0.8))
+        edges = tuple((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density)
+        graphs.append(gp.ExtendedGraph(node_ids=tuple(f"x{i}" for i in range(n)), edges=edges))
+    sizes = set()
+    for h in graphs:
+        for stop_above in range(1, 5):
+            clique = gp.coloring._greedy_clique(h, stop_above)
+            assert clique == reference_greedy_clique(h, stop_above)
+            sizes.add(len(clique))
+    assert {1, 2, 3, 4, 5} <= sizes, sizes
