@@ -11,10 +11,11 @@ class is a balanced assignment problem.
 The solver is the classic matrix method (row reduction, zero matching,
 minimum line cover, adjust by the smallest uncovered entry), which can
 emit a step trace.  It breaks ties between optimal bijections
-canonically: lexicographically smallest (class, file) mapping.  Costs
-are exact integers over the network's ``cost_scale``; a ``Fraction`` is
+canonically: lexicographically smallest (class, file) mapping.  Both
+matrices, per sender and per class, are one type, ``CostMatrix``:
+exact integers over the network's ``cost_scale``.  A ``Fraction`` is
 built only for a reported value (``FileMap.cost``, trace matrices and
-adjustments, and the ``values`` views).
+adjustments, and the ``values`` view).
 """
 
 from __future__ import annotations
@@ -30,32 +31,14 @@ from .rational import frac_str, scaled_rows, unscale_matrix
 
 
 @dataclass(frozen=True)
-class TxLatencyMatrix:
-    """Per (sender, file): demand-weighted cost of that sender holding
-    that file, summed over everything the sender supplies.
+class CostMatrix:
+    """Exact costs as integers: entry (r, c) is ``scaled[r][c] / scale``.
 
-    ``scaled`` holds the costs as exact integers over ``scale``;
-    ``values`` is the same matrix as Fractions.
+    ``tx_latency_matrix`` returns one per (sender, file) and
+    ``color_cost_matrix`` one per (class, file); ``values`` is the same
+    matrix as Fractions.
     """
 
-    node_ids: tuple[str, ...]
-    scaled: tuple[tuple[int, ...], ...]
-    scale: int
-
-    @property
-    def values(self) -> tuple[tuple[Fraction, ...], ...]:
-        return unscale_matrix(self.scaled, self.scale)
-
-
-@dataclass(frozen=True)
-class ColorCostMatrix:
-    """Rows follow the coloring's class order, columns are files.
-
-    ``scaled`` holds the costs as exact integers over ``scale``;
-    ``values`` is the same matrix as Fractions.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
     scaled: tuple[tuple[int, ...], ...]
     scale: int
 
@@ -87,15 +70,6 @@ class TraceStep:
 class HungarianTrace:
     steps: tuple[TraceStep, ...]
 
-    def adjustments(self) -> tuple[Fraction, ...]:
-        return tuple(s.delta for s in self.steps if s.kind == "adjust")
-
-    def final_matching_size(self) -> int:
-        sizes = [s.size for s in self.steps if s.kind == "matching"]
-        if not sizes:
-            raise InvalidInputError("trace holds no matching step")
-        return sizes[-1]
-
     def to_dict(self) -> dict:
         out = []
         for step in self.steps:
@@ -116,7 +90,7 @@ class HungarianTrace:
         return {"steps": out}
 
 
-def tx_latency_matrix(spec: NetworkSpec, nng: NearestNeighborGraph) -> TxLatencyMatrix:
+def tx_latency_matrix(spec: NetworkSpec, nng: NearestNeighborGraph) -> CostMatrix:
     """Sender-side cost of every (node, file) pairing.
 
     Args:
@@ -138,10 +112,10 @@ def tx_latency_matrix(spec: NetworkSpec, nng: NearestNeighborGraph) -> TxLatency
     for dist, receivers in zip(spec.rtt_scaled, nng.out_neighbors()):
         terms = [(dist[v], demands[v]) for v in receivers if dist[v]]
         rows.append(tuple(sum(t * row[j] for t, row in terms) for j in columns))
-    return TxLatencyMatrix(node_ids=spec.node_ids, scaled=tuple(rows), scale=spec.cost_scale)
+    return CostMatrix(scaled=tuple(rows), scale=spec.cost_scale)
 
 
-def color_cost_matrix(coloring: Coloring, tx: TxLatencyMatrix) -> ColorCostMatrix:
+def color_cost_matrix(coloring: Coloring, tx: CostMatrix) -> CostMatrix:
     """Aggregate sender costs over each color class.
 
     Column sums are preserved: every sender lands in exactly one class.
@@ -156,7 +130,7 @@ def color_cost_matrix(coloring: Coloring, tx: TxLatencyMatrix) -> ColorCostMatri
     for members in coloring.classes:
         senders = [tx.scaled[s] for s in members]
         rows.append(tuple(map(sum, zip(*senders))) if senders else (0,) * width)
-    return ColorCostMatrix(classes=coloring.classes, scaled=tuple(rows), scale=tx.scale)
+    return CostMatrix(scaled=tuple(rows), scale=tx.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +142,7 @@ def _as_rows(cost) -> tuple[tuple[tuple[int, ...], ...], int]:
 
     A plain nested matrix is rescaled by the lcm of its denominators.
     """
-    if isinstance(cost, ColorCostMatrix):
+    if isinstance(cost, CostMatrix):
         rows, scale = cost.scaled, cost.scale
     else:
         rows, scale = scaled_rows(cost)
@@ -263,7 +237,7 @@ def hungarian_min_assignment(
     reduction, so traces show every adjustment.
 
     Args:
-        cost: square matrix (ColorCostMatrix or nested sequences).
+        cost: square matrix (CostMatrix or nested sequences).
         with_trace: record matrices, covers and adjustment values.
 
     Returns:

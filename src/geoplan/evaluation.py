@@ -14,9 +14,8 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import InvalidInputError, InvalidSpecError
-from .gf import cauchy_matrix, field, is_prime, matrix_rank, solution_space
+from .gf import cauchy_matrix, field, is_prime, solution_space
 from .model import NetworkSpec, Placement, require_int
-from .nngraph import NearestNeighborGraph
 from .rational import frac_decimal, frac_str
 
 
@@ -240,19 +239,6 @@ def eval_linear_code(spec: NetworkSpec, code: LinearCode) -> tuple[LatencyReport
     report = _finish_report(spec, fetch)
     plan = RecoveryPlan(node_ids=spec.node_ids, file_count=k, vectors=tuple(chosen))
     return report, plan
-
-
-def code_is_admissible(spec: NetworkSpec, code: LinearCode, nng: NearestNeighborGraph) -> bool:
-    """Whether every node can decode all files from its closed in-set
-    alone (the stored symbols there span the full message space)."""
-    f, columns = _code_matrix(spec, code)
-    k = spec.file_count
-    if spec.node_ids != nng.node_ids:
-        raise InvalidInputError("graph and network disagree on nodes")
-    return all(
-        matrix_rank(f, [columns[s] for s in nng.closed_in(v)], k) == k
-        for v in range(spec.node_count)
-    )
 
 
 def _smallest_field_order(minimum: int) -> int:

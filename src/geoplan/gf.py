@@ -10,10 +10,10 @@ The linear algebra is one elimination, ``_eliminate``, on a k-row
 matrix given as its columns of field elements in the order to walk: it
 keeps each column independent of those kept before it and stops at the
 k-th, one whole-row operation (``sub_scaled``, one per field class) at
-a time.  ``solution_space`` solves G x = e_j on the kept columns and
-``matrix_rank`` counts them; neither coerces.  The evaluator passes each
-node's coerced generator row, its column, in (RTT, node index) order,
-so the solve stops at the k-th independent column in that order.
+a time.  ``solution_space`` solves G x = e_j on the kept columns; it
+does not coerce.  The evaluator passes each node's coerced generator
+row, its column, in (RTT, node index) order, so the solve stops at the
+k-th independent column in that order.
 """
 
 from __future__ import annotations
@@ -220,11 +220,6 @@ def _eliminate(f, columns, k: int):
         if len(kept) == k:
             break
     return kept, basis
-
-
-def matrix_rank(f, columns, k: int) -> int:
-    """Rank of the k-row matrix whose columns of field elements are ``columns``."""
-    return len(_eliminate(f, columns, k)[0])
 
 
 def solution_space(f, columns, k: int):

@@ -1,4 +1,4 @@
-"""Built-in example networks used by docs and tests."""
+"""The four-city walkthrough network the README and the tests use."""
 
 from __future__ import annotations
 
@@ -36,29 +36,3 @@ def example_instance() -> NetworkSpec:
     to one assignment problem.
     """
     return make_spec(("A", "B", "C", "D"), _EX_RTT, _EX_DEMANDS, 3)
-
-
-def example_instance_uniform() -> NetworkSpec:
-    """Same network as :func:`example_instance` with flat demands; every
-    admissible placement then costs the same."""
-    uniform = tuple(tuple(Fraction(1, 12) for _ in range(3)) for _ in range(4))
-    return make_spec(("A", "B", "C", "D"), _EX_RTT, uniform, 3)
-
-
-def infeasible_instance() -> NetworkSpec:
-    """Four nodes, three files, no admissible placement.
-
-    The distances are tuned so the nodes' nearest-pair sets chain into
-    a complete conflict graph on four nodes, which no three colors can
-    break.  Distances still satisfy the triangle inequality, so this is
-    a legitimate geometry, and a planner must prove infeasibility
-    rather than error out.
-    """
-    rtt = (
-        (0, 1, Fraction(21, 10), Fraction(7, 5)),
-        (1, 0, Fraction(6, 5), Fraction(13, 10)),
-        (Fraction(21, 10), Fraction(6, 5), 0, Fraction(3, 2)),
-        (Fraction(7, 5), Fraction(13, 10), Fraction(3, 2), 0),
-    )
-    uniform = tuple(tuple(Fraction(1, 12) for _ in range(3)) for _ in range(4))
-    return make_spec(("A", "B", "C", "D"), rtt, uniform, 3)

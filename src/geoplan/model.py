@@ -431,10 +431,6 @@ class Placement:
         ``InvalidInputError`` on a file index that is not an int."""
         return cls(tuple((require_int(f, "file index"),) for f in files))
 
-    @property
-    def is_unit(self) -> bool:
-        return all(len(slots) == 1 for slots in self.files_by_node)
-
     def single(self, v: int) -> int:
         slots = self.files_by_node[v]
         if len(slots) != 1:
@@ -461,10 +457,6 @@ class ExpandedSpec:
     network: NetworkSpec
     provenance: tuple[tuple[int, int], ...]
     groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(len(g) == 1 for g in self.groups)
 
     def project_placement(self, placement: Placement) -> Placement:
         """Collapse a unit placement on the expansion to per-node multisets."""

@@ -51,15 +51,6 @@ class NearestNeighborGraph:
     def node_count(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def file_count(self) -> int:
-        # every node has exactly k-1 in-neighbors
-        return len(self.in_neighbors[0]) + 1 if self.in_neighbors else 1
-
-    def closed_in(self, v: int) -> tuple[int, ...]:
-        """The node itself plus its suppliers, sorted."""
-        return tuple(sorted((v, *self.in_neighbors[v])))
-
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Per node s: sorted nodes served by s, including s itself."""
         out: list[list[int]] = [[s] for s in range(self.node_count)]

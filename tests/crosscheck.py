@@ -29,7 +29,13 @@ parses each distinct string literal once.  ``rref_solution_space`` and
 ``rref_matrix_rank`` solve and rank through a full-width reduced row
 echelon form with its accumulated transform, the reference for
 ``geoplan.gf``'s column-by-column elimination that stops at the k-th
-independent column.
+independent column.  ``closed_in`` (a node and its suppliers),
+``matrix_rank`` (the columns ``gf._eliminate`` keeps) and
+``code_is_admissible`` (whether every closed in-set decodes all files)
+check a linear code against one supply graph.
+``example_instance_uniform`` is the walkthrough network with flat
+demands, and ``infeasible_instance`` a four-node network whose
+conflict graph is K4.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ from typing import Sequence
 import geoplan as gp
 from geoplan import coloring
 from geoplan.assignment import _lex_min_zero_assignment
-from geoplan.evaluation import _as_placement
+from geoplan.evaluation import _as_placement, _code_matrix
+from geoplan.gf import _eliminate
 from geoplan.nngraph import SupplierTier
 from geoplan.rational import _BOUND, MAX_DIGITS, lowest_terms, to_ratio
 
@@ -54,7 +61,7 @@ BRUTE_FORCE_LIMIT = 9
 
 
 def _as_rows(cost) -> list[list[Fraction]]:
-    if isinstance(cost, gp.ColorCostMatrix):
+    if isinstance(cost, gp.CostMatrix):
         rows = [list(row) for row in cost.values]
     else:
         rows = [[Fraction(*to_ratio(x)) for x in row] for row in cost]
@@ -280,6 +287,11 @@ def class_of(coloring: gp.Coloring) -> tuple[int, ...]:
     return tuple(out)
 
 
+def closed_in(nng: gp.NearestNeighborGraph, v: int) -> tuple[int, ...]:
+    """Node v plus its suppliers, sorted."""
+    return tuple(sorted((v, *nng.in_neighbors[v])))
+
+
 def is_admissible(placement: gp.Placement | Sequence[int], nng: gp.NearestNeighborGraph) -> bool:
     """Whether a single-file-per-node placement serves every node from
     within its closed in-neighborhood.
@@ -293,12 +305,9 @@ def is_admissible(placement: gp.Placement | Sequence[int], nng: gp.NearestNeighb
         files = tuple(int(f) for f in placement)
     if len(files) != nng.node_count:
         raise gp.InvalidInputError("placement length does not match the graph")
-    k = nng.file_count
     for v in range(nng.node_count):
-        seen = 0
-        for s in nng.closed_in(v):
-            seen |= 1 << files[s]
-        if seen.bit_count() != k:
+        members = closed_in(nng, v)
+        if len({files[s] for s in members}) != len(members):
             return False
     return True
 
@@ -312,14 +321,14 @@ def receive_side_avg(spec: gp.NetworkSpec, nng: gp.NearestNeighborGraph, placeme
     nearest nodes.
     """
     plc = _as_placement(spec, placement)
-    if not plc.is_unit:
+    if any(len(slots) != 1 for slots in plc.files_by_node):
         raise gp.InvalidInputError("receive-side form needs one file per node; expand first")
     files = plc.as_single_files()
     if not is_admissible(files, nng):
         raise gp.InvalidInputError("placement is not admissible for this graph")
     total = Fraction(0)
     for v in range(spec.node_count):
-        for s in nng.closed_in(v):
+        for s in closed_in(nng, v):
             total += spec.rtt[s][v] * spec.demands[v][files[s]]
     return total
 
@@ -543,3 +552,49 @@ def rref_solution_space(f, matrix):
             x[col] = transform[i][j]
         particulars.append(tuple(x))
     return particulars
+
+
+def matrix_rank(f, columns, k: int) -> int:
+    """Rank of the k-row matrix whose columns of field elements are
+    ``columns``: the columns ``gf._eliminate`` keeps."""
+    return len(_eliminate(f, columns, k)[0])
+
+
+def code_is_admissible(spec: gp.NetworkSpec, code: gp.LinearCode, nng: gp.NearestNeighborGraph) -> bool:
+    """Whether every node can decode all files from its closed in-set
+    alone (the stored symbols there span the full message space)."""
+    f, columns = _code_matrix(spec, code)
+    k = spec.file_count
+    if spec.node_ids != nng.node_ids:
+        raise gp.InvalidInputError("graph and network disagree on nodes")
+    return all(
+        matrix_rank(f, [columns[s] for s in closed_in(nng, v)], k) == k
+        for v in range(spec.node_count)
+    )
+
+
+_UNIFORM = tuple(tuple(Fraction(1, 12) for _ in range(3)) for _ in range(4))
+
+
+def example_instance_uniform() -> gp.NetworkSpec:
+    """Same network as ``geoplan.example_instance`` with flat demands;
+    every admissible placement then costs the same."""
+    return gp.make_spec(("A", "B", "C", "D"), gp.example_instance().rtt, _UNIFORM, 3)
+
+
+def infeasible_instance() -> gp.NetworkSpec:
+    """Four nodes, three files, no admissible placement.
+
+    The distances are tuned so the nodes' nearest-pair sets chain into
+    a complete conflict graph on four nodes, which no three colors can
+    break.  Distances still satisfy the triangle inequality, so this is
+    a legitimate geometry, and a planner must prove infeasibility
+    rather than error out.
+    """
+    rtt = (
+        (0, 1, Fraction(21, 10), Fraction(7, 5)),
+        (1, 0, Fraction(6, 5), Fraction(13, 10)),
+        (Fraction(21, 10), Fraction(6, 5), 0, Fraction(3, 2)),
+        (Fraction(7, 5), Fraction(13, 10), Fraction(3, 2), 0),
+    )
+    return gp.make_spec(("A", "B", "C", "D"), rtt, _UNIFORM, 3)

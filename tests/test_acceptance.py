@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import geoplan as gp
 from conftest import random_admissible_pair, random_spec
-from crosscheck import brute_force_assignment, is_admissible, receive_side_avg
+from crosscheck import brute_force_assignment, code_is_admissible, is_admissible, receive_side_avg
 
 F = Fraction
 
@@ -53,8 +53,8 @@ def test_criterion_02_reduction_trace():
         (F(0), F(0), F(21, 40)),
     )
     # one cover round; its uncovered minimum is the only adjustment
-    assert trace.adjustments() == (F(7, 20),)
-    assert trace.final_matching_size() == 3
+    assert tuple(s.delta for s in trace.steps if s.kind == "adjust") == (F(7, 20),)
+    assert [s.size for s in trace.steps if s.kind == "matching"][-1] == 3
 
 
 def test_criterion_03_transmit_cost_rows(ex1, ex1_nng):
@@ -187,7 +187,7 @@ def test_criterion_10_coded_beats_uncoded(ex1, ex1_nng):
     for bits in itertools.product((0, 1), repeat=12):
         rows = tuple(tuple(bits[3 * v: 3 * v + 3]) for v in range(4))
         code = gp.LinearCode(2, rows)
-        if not gp.code_is_admissible(ex1, code, ex1_nng):
+        if not code_is_admissible(ex1, code, ex1_nng):
             continue
         admissible += 1
         report, _ = gp.eval_linear_code(ex1, code)

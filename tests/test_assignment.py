@@ -87,8 +87,8 @@ def test_hungarian_golden_trace():
     ]
     cover = steps[2]
     assert cover.rows == () and cover.cols == (0, 1)
-    assert trace.adjustments() == (F(7, 20),)
-    assert trace.final_matching_size() == 3
+    assert tuple(s.delta for s in trace.steps if s.kind == "adjust") == (F(7, 20),)
+    assert [s.size for s in trace.steps if s.kind == "matching"][-1] == 3
 
 
 def test_tie_break_is_lexicographic():
@@ -171,8 +171,7 @@ def test_integer_costs_match_factorial_search_on_mixed_denominators():
             ]
             # any common multiple of the denominators is a valid scale
             scale = lcm(*(x.denominator for row in exact for x in row)) * rng.randint(1, 4)
-            cost = gp.ColorCostMatrix(
-                classes=tuple((t,) for t in range(k)),
+            cost = gp.CostMatrix(
                 scaled=tuple(tuple(int(x * scale) for x in row) for row in exact),
                 scale=scale,
             )

@@ -14,6 +14,7 @@ import pytest
 
 import geoplan as gp
 from conftest import quote_numbers, random_spec
+from crosscheck import infeasible_instance
 from geoplan import cli
 
 F = Fraction
@@ -25,7 +26,7 @@ EX1 = str(DATA / "ex1.json")
 @pytest.fixture
 def infeasible_file(tmp_path):
     path = tmp_path / "bad.json"
-    gp.save_spec(gp.infeasible_instance(), str(path))
+    gp.save_spec(infeasible_instance(), str(path))
     return str(path)
 
 
@@ -235,6 +236,30 @@ def test_wide_tie_grid_exits_5(tmp_path, capsys):
     gp.save_spec(spec, str(path))
     assert cli.main(["plan", "--spec", str(path)]) == 5
     assert "past 100000 rows" in capsys.readouterr().err
+
+
+def clique_file(tmp_path, n: int) -> str:
+    """n nodes and n files: every node supplies every other, so the
+    conflict graph is K_n and the first elimination step holds one row
+    per proper coloring of all n nodes, n! rows."""
+    rtt = [[0 if a == b else a + b for b in range(n)] for a in range(n)]
+    spec = gp.make_spec([f"n{i}" for i in range(n)], rtt, [[F(1, n * n)] * n] * n, n)
+    path = tmp_path / f"clique{n}.json"
+    gp.save_spec(spec, str(path))
+    return str(path)
+
+
+def test_a_clique_of_eight_files_plans(tmp_path):
+    out_file = tmp_path / "plan.json"
+    assert cli.main(["plan", "--spec", clique_file(tmp_path, 8), "--out", str(out_file)]) == 0
+    placement = json.loads(out_file.read_text())["placement"]
+    assert sorted(file for _, file in placement) == list(range(8))
+
+
+def test_a_clique_of_nine_files_exits_5(tmp_path, capsys):
+    """9! = 362,880 rows, past MAX_TABLE_ROWS."""
+    assert cli.main(["plan", "--spec", clique_file(tmp_path, 9)]) == 5
+    assert "coloring table past 100000 rows at node n0" in capsys.readouterr().err
 
 
 def test_oracle_budget_exit(capsys):

@@ -15,6 +15,7 @@ from conftest import random_spec
 from crosscheck import (
     class_of,
     enumerate_colorings,
+    infeasible_instance,
     is_proper_partition,
     reference_greedy_clique,
     reference_min_cost_coloring,
@@ -41,7 +42,7 @@ def test_find_coloring_example(ex1_nng):
 
 
 def test_infeasible_clique_certificate():
-    spec = gp.infeasible_instance()
+    spec = infeasible_instance()
     h = gp.build_extended_graph(gp.build_nng(spec))
     assert len(h.edges) == 6  # complete on 4 nodes
     found = gp.find_coloring(h, 3)

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 import geoplan as gp
-from geoplan.gf import field, matrix_rank
+from geoplan.gf import field
 from conftest import random_admissible_pair, random_full_placement, random_spec, tie_heavy_spec
-from crosscheck import receive_side_avg
+from crosscheck import code_is_admissible, matrix_rank, receive_side_avg
 from geoplan.rational import frac_decimal, frac_str
 
 F = Fraction
@@ -230,7 +230,7 @@ def test_recovery_plan_dict(ex1):
 def test_mds_code_defaults(ex1, ex1_nng):
     code = gp.mds_code(4, 3)
     assert code.field_order == 7
-    assert gp.code_is_admissible(ex1, code, ex1_nng)
+    assert code_is_admissible(ex1, code, ex1_nng)
     report, _ = gp.eval_linear_code(ex1, code)
     assert report.worst_case == report.wc_bounds == (2, 2, 7, 2)
 
@@ -249,7 +249,7 @@ def test_code_admissibility_detects_rank_gaps(ex1, ex1_nng):
     # storing file 0 at both A and B starves closed_in(D) = {A, B, D}
     rows = {0: (1, 0, 0), 1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
     code = gp.LinearCode(2, tuple(rows[v] for v in range(4)))
-    assert not gp.code_is_admissible(ex1, code, ex1_nng)
+    assert not code_is_admissible(ex1, code, ex1_nng)
 
 
 def test_eval_code_rejects_rank_deficiency():
@@ -293,7 +293,7 @@ def test_prime_field_entries_are_read_as_their_residues(ex1, ex1_nng, shift):
     again, replan = gp.eval_linear_code(ex1, moved)
     assert again.to_dict() == report.to_dict()
     assert replan.to_dict() == plan.to_dict()
-    assert gp.code_is_admissible(ex1, moved, ex1_nng)
+    assert code_is_admissible(ex1, moved, ex1_nng)
 
 
 def test_code_round_trip():
@@ -310,7 +310,7 @@ def test_mds_meets_bounds_on_random_instances():
         spec = random_spec(rng, max_nodes=5, max_files=3)
         nng = gp.build_nng(spec)
         code = gp.mds_code(spec.node_count, spec.file_count)
-        assert gp.code_is_admissible(spec, code, nng)
+        assert code_is_admissible(spec, code, nng)
         report, _ = gp.eval_linear_code(spec, code)
         assert report.meets_bounds()
 

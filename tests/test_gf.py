@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from crosscheck import rref_matrix_rank, rref_solution_space
+from crosscheck import matrix_rank, rref_matrix_rank, rref_solution_space
 from geoplan.errors import InvalidInputError
 from geoplan.gf import (
     BinaryField,
@@ -14,7 +14,6 @@ from geoplan.gf import (
     cauchy_matrix,
     field,
     is_prime,
-    matrix_rank,
     solution_space,
 )
 

@@ -302,7 +302,7 @@ def test_triangle_scan_matches_fraction_definition():
 
 def test_placement_helpers():
     plc = gp.Placement.from_files([2, 1, 2, 0])
-    assert plc.is_unit
+    assert all(len(slots) == 1 for slots in plc.files_by_node)
     assert plc.as_single_files() == (2, 1, 2, 0)
 
     for bad in (1.5, True, 1.0, "1"):
@@ -310,7 +310,7 @@ def test_placement_helpers():
             gp.Placement.from_files([2, bad, 2, 0])
 
     multi = gp.Placement(files_by_node=((0, 2), (1,)))
-    assert not multi.is_unit
+    assert not all(len(slots) == 1 for slots in multi.files_by_node)
     with pytest.raises(gp.InvalidInputError):
         multi.single(0)
 
@@ -340,7 +340,7 @@ def test_expand_splits_demands_evenly():
 
 def test_expand_of_unit_spec_is_identity(ex1):
     expanded = gp.expand_multifile(ex1)
-    assert expanded.is_identity
+    assert all(len(g) == 1 for g in expanded.groups)
     assert expanded.network == ex1
     # the spec itself, so its cached integer scales are reused
     assert expanded.network is ex1

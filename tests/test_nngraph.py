@@ -11,7 +11,7 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec, tie_heavy_spec
-from crosscheck import admissible_placements, is_admissible
+from crosscheck import admissible_placements, closed_in, is_admissible
 from geoplan.nngraph import first_supply_graph, supplier_tiers
 
 
@@ -45,7 +45,7 @@ def test_edge_count_is_n_times_k_minus_1(ex1_nng):
         nng = gp.build_nng(spec)
         assert len(nng.edges()) == spec.node_count * (spec.file_count - 1)
         for v in range(spec.node_count):
-            assert len(nng.closed_in(v)) == spec.file_count
+            assert len(closed_in(nng, v)) == spec.file_count
 
 
 def test_in_neighbors_are_the_nearest(ex1):
@@ -202,7 +202,7 @@ def test_closed_in_sets_are_cliques(ex1_nng):
         h = gp.build_extended_graph(nng)
         masks = h.adjacency_masks()
         for v in range(nng.node_count):
-            members = nng.closed_in(v)
+            members = closed_in(nng, v)
             for a in members:
                 for b in members:
                     if a != b:

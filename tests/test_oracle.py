@@ -13,7 +13,7 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec, tie_heavy_spec
-from crosscheck import product_oracle
+from crosscheck import example_instance_uniform, infeasible_instance, product_oracle
 
 F = Fraction
 
@@ -51,7 +51,7 @@ def test_unrestricted_never_loses_to_admissible():
 
 
 def test_oracle_uniform_witnesses():
-    res = gp.brute_force_placement(gp.example_instance_uniform())
+    res = gp.brute_force_placement(example_instance_uniform())
     assert res.best_value == 2
     assert len(res.witnesses) == 6
     assert not res.witnesses_capped
@@ -59,14 +59,14 @@ def test_oracle_uniform_witnesses():
 
 
 def test_oracle_witness_cap():
-    res = gp.brute_force_placement(gp.example_instance_uniform(), witness_cap=2)
+    res = gp.brute_force_placement(example_instance_uniform(), witness_cap=2)
     assert res.best_value == 2
     assert len(res.witnesses) == 2
     assert res.witnesses_capped
 
 
 def test_oracle_infeasible_instance():
-    res = gp.brute_force_placement(gp.infeasible_instance())
+    res = gp.brute_force_placement(infeasible_instance())
     assert res.best_value is None
     assert res.scored == 0
     assert res.witnesses == ()
@@ -146,7 +146,7 @@ def test_verify_refutes_suboptimal_claim(ex1):
 
 
 def test_verify_confirms_infeasibility():
-    bad = gp.infeasible_instance()
+    bad = infeasible_instance()
     verdict = gp.verify_plan(bad, gp.plan(bad))
     assert verdict.status == "verified"
 
@@ -307,7 +307,7 @@ def test_negative_witness_cap_is_refused(ex1):
 def test_witness_cap_zero_reports_no_witness():
     """At cap 0 no witness is kept, and the cap flag says whether an
     optimum exists, as in the product loop."""
-    for spec in (gp.example_instance_uniform(), gp.example_instance(), gp.infeasible_instance()):
+    for spec in (example_instance_uniform(), gp.example_instance(), infeasible_instance()):
         (want,) = product_oracle(spec, "admissible_only", (0,))
         got = gp.brute_force_placement(spec, witness_cap=0)
         assert got == want

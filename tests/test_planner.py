@@ -14,7 +14,12 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec
-from crosscheck import admissible_placements, brute_force_assignment
+from crosscheck import (
+    admissible_placements,
+    brute_force_assignment,
+    example_instance_uniform,
+    infeasible_instance,
+)
 from geoplan import cli
 
 F = Fraction
@@ -78,7 +83,7 @@ def test_plan_example_dict(ex1):
 
 
 def test_plan_uniform_demands():
-    report = gp.plan(gp.example_instance_uniform())
+    report = gp.plan(example_instance_uniform())
     assert report.value == 2
     # columns of the cost matrix coincide, so the first bijection wins
     assert report.file_map.assignment == (0, 1, 2)
@@ -95,7 +100,7 @@ def test_plan_with_trace(ex1):
 
 
 def test_plan_infeasible():
-    outcome = gp.plan(gp.infeasible_instance())
+    outcome = gp.plan(infeasible_instance())
     assert isinstance(outcome, gp.InfeasiblePlan)
     assert outcome.certificate_ids == ("A", "B", "C", "D")
     assert outcome.exhaustive
@@ -105,7 +110,7 @@ def test_plan_infeasible():
 
 
 def test_infeasible_certificate_is_a_real_obstruction():
-    spec = gp.infeasible_instance()
+    spec = infeasible_instance()
     outcome = gp.plan(spec)
     index = {node_id: v for v, node_id in enumerate(spec.node_ids)}
     members = [index[node_id] for node_id in outcome.certificate_ids]
@@ -304,7 +309,7 @@ def test_transmit_costs_are_built_only_for_uncertified_graphs(monkeypatch):
         return real(spec, nng)
 
     monkeypatch.setattr(gp.planner, "tx_latency_matrix", counted)
-    assert isinstance(gp.plan(gp.infeasible_instance()), gp.InfeasiblePlan)
+    assert isinstance(gp.plan(infeasible_instance()), gp.InfeasiblePlan)
     assert calls == []
     gp.plan(gp.example_instance())
     assert len(calls) == 1
