@@ -3,10 +3,12 @@
 With every fetch kept inside the nearest-neighbor graph, the demand-
 weighted average latency of a placement decomposes over senders: node s
 holding file j contributes the round-trip times to every node it
-supplies, weighted by those nodes' demand for j.  Summing the sender
-contributions over a color class of the conflict graph gives a k x k
-cost matrix over (class, file) pairs, and picking the best file per
-class is a balanced assignment problem.
+supplies, weighted by those nodes' demand for j.  ``tx_latency_matrix``
+builds these sender rows in one walk over the supply graph's in-edges:
+each supplier s of node v adds rtt(s, v) times v's demand row into row
+s.  Summing the sender contributions over a color class of the
+conflict graph gives a k x k cost matrix over (class, file) pairs, and
+picking the best file per class is a balanced assignment problem.
 
 The solver is the classic matrix method (row reduction, zero matching,
 minimum line cover, adjust by the smallest uncovered entry), which can
@@ -100,19 +102,25 @@ def tx_latency_matrix(spec: NetworkSpec, nng: NearestNeighborGraph) -> CostMatri
     Returns:
         Matrix whose (s, j) entry sums rtt(s, v) * demand(v, j) over the
         nodes v supplied by s (s itself included at zero distance), on
-        the network's ``cost_scale``.
+        the network's ``cost_scale``.  It is built from the in-edges:
+        every supplier s of v adds rtt(s, v) times v's demand row into
+        row s, so no out-neighbor lists are built.
     """
     if not spec.is_unit_capacity:
         raise InvalidSpecError("transmit costs need a unit-capacity network; expand first")
     if spec.node_ids != nng.node_ids:
         raise InvalidInputError("graph and network disagree on nodes")
-    demands = spec.demands_scaled
-    columns = range(spec.file_count)
-    rows = []
-    for dist, receivers in zip(spec.rtt_scaled, nng.out_neighbors()):
-        terms = [(dist[v], demands[v]) for v in receivers if dist[v]]
-        rows.append(tuple(sum(t * row[j] for t, row in terms) for j in columns))
-    return CostMatrix(scaled=tuple(rows), scale=spec.cost_scale)
+    rtt = spec.rtt_scaled
+    rows = [[0] * spec.file_count for _ in rtt]
+    # walk the in-edges: each supplier s of v adds rtt(s, v) times v's demand row
+    for v, (sources, wants) in enumerate(zip(nng.in_neighbors, spec.demands_scaled)):
+        for s in sources:
+            t = rtt[s][v]
+            if t:
+                row = rows[s]
+                for j, d in enumerate(wants):
+                    row[j] += t * d
+    return CostMatrix(scaled=tuple(map(tuple, rows)), scale=spec.cost_scale)
 
 
 def color_cost_matrix(coloring: Coloring, tx: CostMatrix) -> CostMatrix:

@@ -6,13 +6,17 @@ independent classes; which file each class stores is a separate step.
 bucket elimination (Dechter, Artificial Intelligence 113, 1999) along a
 min-degree order: its work grows with the elimination width, not with
 the number of colorings.  A symbolic pass on the fill bit masks fixes
-the order and every step's scope before any table is built; each cover
-and each table over two or more nodes is then filed once, in the
-bucket of its first-eliminated member, and a numeric pass joins each
-bucket's tables.  A table over one node is k costs, added into that
-node's own; a node with at most one node in scope and an empty bucket
-goes by a vector step over its k costs, the tree step of nonserial
-dynamic programming (Bertele and Brioschi, 1972), with no row table.
+the order and every step's scope before any table is built (nodes pop
+from a lazy (degree, node) heap, lowest degree and then lowest index
+first, in O((n + fill) log n)); each cover and each table over two
+or more nodes is then filed once, in the bucket of its first-eliminated
+member, and a numeric pass joins each bucket's tables.  The clique
+search and the elimination read one set of adjacency masks, which
+``ExtendedGraph`` builds on first use.  A table over one node is k
+costs, added into that node's own; a node with at most one node in
+scope and an empty bucket goes by a vector step over its k costs, the
+tree step of nonserial dynamic programming (Bertele and Brioschi,
+1972), with no row table.
 ``iter_colorings`` enumerates every partition by backtracking,
 with two symmetry breaks: a seed clique (found greedily, and in
 conflict graphs every closed in-neighborhood is one) is placed first so
@@ -23,6 +27,7 @@ first-use order so each partition appears exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import inf
 from operator import add, itemgetter, or_
@@ -65,7 +70,7 @@ class Infeasible:
 
 def _greedy_clique(h: ExtendedGraph, stop_above: int) -> tuple[int, ...]:
     """Largest clique found greedily; stops early past ``stop_above`` nodes."""
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     n = h.node_count
     order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
     adjacent: list[list[int]] = [[] for _ in range(n)]
@@ -98,7 +103,7 @@ def _greedy_clique(h: ExtendedGraph, stop_above: int) -> tuple[int, ...]:
 
 
 def _vertex_order(h: ExtendedGraph, k: int) -> list[int]:
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     seed = _greedy_clique(h, stop_above=k)[: k + 1]
     rest = sorted(
         (v for v in range(h.node_count) if v not in seed),
@@ -115,7 +120,7 @@ def iter_colorings(h: ExtendedGraph, k: int) -> Iterator[Coloring]:
     n = h.node_count
     if k < 1 or n == 0:
         return
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     order = _vertex_order(h, k)
     class_masks = [0] * k
     assigned: list[int] = []
@@ -206,7 +211,7 @@ def min_cost_coloring(
     n = h.node_count
     k = len(costs[0])
     top = k**n
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     order, scopes = _elimination_order(masks, covers)
     step = [0] * n
     for i, v in enumerate(order):
@@ -352,7 +357,13 @@ def _elimination_order(
     """The min-degree elimination order on the fill masks alone (conflict
     edges, cover cliques and the edges elimination fills in), lowest
     index first among equal degrees, and each step's scope: the node's
-    neighbors still alive, ascending."""
+    neighbors still alive, ascending.
+
+    Nodes are popped from a lazy heap of (degree, node) entries: a
+    node whose degree changes is pushed again, and an entry that no
+    longer matches its node's degree (an eliminated node's is -1) is
+    skipped, so a call costs O((n + fill) log n).
+    """
     n = len(masks)
     fill = list(masks)
     for cover in covers:
@@ -360,12 +371,15 @@ def _elimination_order(
         for u in cover:
             fill[u] |= members & ~(1 << u)
     degree = [m.bit_count() for m in fill]
-    alive = list(range(n))
+    heap = list(zip(degree, range(n)))
+    heapify(heap)
     order: list[int] = []
     scopes: list[tuple[int, ...]] = []
-    for _ in range(n):
-        v = min(alive, key=degree.__getitem__)
-        alive.remove(v)
+    while heap:
+        d, v = heappop(heap)
+        if d != degree[v]:
+            continue
+        degree[v] = -1  # eliminated: no entry matches it again
         # a live node's fill holds live nodes only: eliminating v clears
         # v from exactly the members of its scope
         mask = fill[v]
@@ -376,8 +390,11 @@ def _elimination_order(
             scope.append(low.bit_length() - 1)
             rest ^= low
         for u in scope:
-            fill[u] = (fill[u] | mask) & ~(1 << u | 1 << v)
-            degree[u] = fill[u].bit_count()
+            fill[u] = grown = (fill[u] | mask) & ~(1 << u | 1 << v)
+            d = grown.bit_count()
+            if d != degree[u]:
+                degree[u] = d
+                heappush(heap, (d, u))
         order.append(v)
         scopes.append(tuple(scope))
     return order, scopes

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import gcd
+from operator import mul
 
 from .errors import InvalidInputError, InvalidSpecError
 from .gf import cauchy_matrix, field, is_prime, solution_space
@@ -29,7 +31,7 @@ class LatencyReport:
     ``rtt_scale``; ``average`` is the demand-weighted mean.  The audits
     compare the integers.  ``latencies``, ``worst_case`` (the per-node
     max over files) and ``wc_bounds`` are their ``Fraction`` views,
-    built on first use.
+    built on first use; ``to_dict`` renders the integers without them.
     """
 
     node_ids: tuple[str, ...]
@@ -62,7 +64,12 @@ class LatencyReport:
         return tuple(map(max, self.fetch)) == self.floors
 
     def to_dict(self) -> dict:
-        text = {t: frac_str(x) for t, x in self._exact.items()}
+        # each distinct integer t as the text of t / scale: one gcd, no Fraction
+        scale = self.scale
+        text = {}
+        for t in {*chain.from_iterable(self.fetch), *self.floors}:
+            g = gcd(t, scale)
+            text[t] = f"{t // g}" if g == scale else f"{t // g}/{scale // g}"
         return {
             "schema": "latency-report/1",
             "nodes": list(self.node_ids),
@@ -103,9 +110,6 @@ def eval_uncoded(spec: NetworkSpec, placement) -> LatencyReport:
     """
     held = _as_placement(spec, placement).files_by_node
     k = spec.file_count
-    missing = set(range(k)).difference(*held)
-    if missing:
-        raise InvalidInputError(f"no node holds file {min(missing)}")
     fetch = []
     for order, dist in zip(spec.nearest, spec.rtt_scaled):
         row: list = [None] * k
@@ -117,6 +121,9 @@ def eval_uncoded(spec: NetworkSpec, placement) -> LatencyReport:
                     left -= 1
             if not left:
                 break
+        else:  # the whole network lacks a file
+            missing = set(range(k)).difference(*held)
+            raise InvalidInputError(f"no node holds file {min(missing)}")
         fetch.append(row)
     return _finish_report(spec, fetch)
 
@@ -125,9 +132,7 @@ def _finish_report(spec: NetworkSpec, fetch) -> LatencyReport:
     """Report the fetches where ``fetch[v][j]`` is node v's latency for
     file j on the RTT scale.  The average is one integer sum over
     ``spec.cost_scale``."""
-    total = sum(
-        t * p for row, weights in zip(fetch, spec.demands_scaled) for t, p in zip(row, weights)
-    )
+    total = sum(map(mul, chain.from_iterable(fetch), chain.from_iterable(spec.demands_scaled)))
     return LatencyReport(
         node_ids=spec.node_ids,
         file_count=spec.file_count,

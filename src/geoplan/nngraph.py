@@ -10,9 +10,10 @@ the per-node choices ``supplier_tiers`` describes, which it reads off
 The planner works from those choices directly; ``enumerate_nngs``
 lists the graphs themselves (for export), ``build_nng`` returns the
 first of them, and ``first_supply_graph`` the first that admits a
-given placement.  Every tie breaks toward the lower node index, as in
-``export --all-nngs`` order: ``tied`` peers are listed by index and
-their combinations taken lexicographically.
+given placement, in one pass over the nodes with the files each node
+set holds kept as a bit mask.  Every tie breaks toward the lower node
+index, as in ``export --all-nngs`` order: ``tied`` peers are listed by
+index and their combinations taken lexicographically.
 
 The undirected extension joins every node to its chosen in-neighbors
 and additionally joins those in-neighbors pairwise, which turns every
@@ -27,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, islice, product
 from math import comb, prod
 from typing import NamedTuple, Sequence
@@ -51,14 +53,6 @@ class NearestNeighborGraph:
     def node_count(self) -> int:
         return len(self.node_ids)
 
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Per node s: sorted nodes served by s, including s itself."""
-        out: list[list[int]] = [[s] for s in range(self.node_count)]
-        for v, sources in enumerate(self.in_neighbors):
-            for s in sources:
-                out[s].append(v)
-        return tuple(tuple(sorted(o)) for o in out)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Directed (source, target) pairs, sorted."""
         return tuple(
@@ -78,7 +72,10 @@ class ExtendedGraph:
     def node_count(self) -> int:
         return len(self.node_ids)
 
+    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
+        """Per node, its neighbors as one bit mask; built on first use,
+        so the clique search and the elimination share one build."""
         masks = [0] * self.node_count
         for a, b in self.edges:
             masks[a] |= 1 << b
@@ -208,26 +205,52 @@ def first_supply_graph(
 
     Each node takes the lowest tied holder of every file missing from
     itself and its forced suppliers, which is its first valid choice;
-    the index is the mixed-radix position of those choices.  Raises
-    ``InvalidInputError`` when no supply graph admits ``files``.
+    the index is the mixed-radix position of those choices.  The files
+    a node set holds are one bit mask, and a choice's rank is computed
+    only where the tied run offers more than one.  Raises
+    ``InvalidInputError`` when ``files`` does not give one file index
+    in ``0..k-1`` per node, and when no supply graph admits ``files``.
     """
+    k = spec.file_count
+    if len(files) != spec.node_count:
+        raise InvalidInputError(f"placement covers {len(files)} nodes, network has {spec.node_count}")
+    for j in files:
+        if not 0 <= j < k:
+            raise InvalidInputError(f"file index {j} out of range")
+    bit = [1 << j for j in files]
+    full = (1 << k) - 1
     index = 0
     chosen = []
     for v, t in enumerate(tiers):
-        held = {files[s] for s in (v, *t.forced)}
-        picked = []
-        for pos, s in enumerate(t.tied):
-            if files[s] not in held:
-                held.add(files[s])
-                picked.append(pos)
-        if len(held) != spec.file_count or len(picked) != t.picks:
+        held = bit[v]
+        for s in t.forced:
+            held |= bit[s]
+        tied, picks = t.tied, t.picks
+        if picks == 0 or picks == len(tied):
+            # no choice: v, its forced suppliers and, when every tied
+            # peer is taken, those peers are k nodes that must hold all k files
+            if picks:
+                for s in tied:
+                    held |= bit[s]
+            chosen.append(t.shared)
+        elif held.bit_count() == len(t.forced) + 1:
+            # v and its forced suppliers hold distinct files, so covering
+            # all k takes exactly ``picks`` tied peers
+            picked = []
+            for pos, s in enumerate(tied):
+                if not held & bit[s]:
+                    held |= bit[s]
+                    picked.append(pos)
+            rank, prev = 0, -1  # lexicographic rank among combinations(tied, picks)
+            for i, pos in enumerate(picked):
+                rank += sum(comb(len(tied) - 1 - x, picks - 1 - i) for x in range(prev + 1, pos))
+                prev = pos
+            index = index * comb(len(tied), picks) + rank
+            chosen.append(tuple(sorted(t.forced + tuple(tied[p] for p in picked))))
+        else:  # v and its forced suppliers repeat a file
+            held = 0
+        if held != full:
             raise InvalidInputError(f"no supply graph admits the placement at {spec.node_ids[v]}")
-        rank, prev = 0, -1  # lexicographic rank among combinations(t.tied, t.picks)
-        for i, pos in enumerate(picked):
-            rank += sum(comb(len(t.tied) - 1 - x, t.picks - 1 - i) for x in range(prev + 1, pos))
-            prev = pos
-        index = index * comb(len(t.tied), t.picks) + rank
-        chosen.append(tuple(sorted(t.forced + tuple(t.tied[p] for p in picked))))
     return index, NearestNeighborGraph(node_ids=spec.node_ids, in_neighbors=tuple(chosen))
 
 

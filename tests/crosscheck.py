@@ -9,10 +9,14 @@ coloring helpers collect ``geoplan.iter_colorings`` and check
 partitions; ``reference_min_cost_coloring`` is the elimination as one
 loop that scans every table and cover at each step, the reference for
 ``geoplan.min_cost_coloring``'s symbolic pass, buckets and vector
-steps; ``reference_greedy_clique`` is the clique search that scans
-every node for every seed, which ``coloring._greedy_clique``
-reproduces from each seed's neighbors alone.
+steps; ``reference_elimination_order`` is the min-degree order as a
+scan of every live node per step, which ``coloring._elimination_order``
+reproduces from a lazy heap; ``reference_greedy_clique`` is the clique
+search that scans every node for every seed, which
+``coloring._greedy_clique`` reproduces from each seed's neighbors alone.
 ``receive_side_avg`` is the receive-side form of the average latency,
+``out_neighbors`` lists the nodes each node serves (the sender-side
+definition ``geoplan.tx_latency_matrix`` reproduces from in-edges),
 and ``is_admissible`` checks a placement against one supply graph.
 ``admissible_placements`` finds the placements that some supply graph
 admits by enumerating every supply graph and every coloring of it.
@@ -177,7 +181,7 @@ def reference_min_cost_coloring(
     n = h.node_count
     k = len(costs[0])
     top = k**n
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     fill = list(masks)
     for cover in covers:
         members = sum(1 << u for u in cover)
@@ -241,10 +245,39 @@ def reference_min_cost_coloring(
     return total // top, tuple(files)
 
 
+def reference_elimination_order(
+    masks: Sequence[int], covers: Sequence[Sequence[int]]
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """``coloring._elimination_order`` as a scan of every live node per
+    step: ``min`` over the ascending live list picks the lowest degree,
+    lowest index first, and ``remove`` drops it, O(n) each."""
+    n = len(masks)
+    fill = list(masks)
+    for cover in covers:
+        members = sum(1 << u for u in cover)
+        for u in cover:
+            fill[u] |= members & ~(1 << u)
+    degree = [m.bit_count() for m in fill]
+    alive = list(range(n))
+    order: list[int] = []
+    scopes: list[tuple[int, ...]] = []
+    for _ in range(n):
+        v = min(alive, key=degree.__getitem__)
+        alive.remove(v)
+        mask = fill[v]
+        scope = tuple(u for u in range(n) if mask >> u & 1)
+        for u in scope:
+            fill[u] = (fill[u] | mask) & ~(1 << u | 1 << v)
+            degree[u] = fill[u].bit_count()
+        order.append(v)
+        scopes.append(scope)
+    return order, scopes
+
+
 def reference_greedy_clique(h: gp.ExtendedGraph, stop_above: int) -> tuple[int, ...]:
     """``coloring._greedy_clique`` as a scan of every node, in degree
     order, for every seed."""
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     n = h.node_count
     order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
     best: tuple[int, ...] = ()
@@ -268,7 +301,7 @@ def reference_greedy_clique(h: gp.ExtendedGraph, stop_above: int) -> tuple[int, 
 
 def is_proper_partition(h: gp.ExtendedGraph, classes) -> bool:
     """Independent-set check for every class."""
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     for members in classes:
         for v in members:
             for w in members:
@@ -285,6 +318,15 @@ def class_of(coloring: gp.Coloring) -> tuple[int, ...]:
         for v in members:
             out[v] = idx
     return tuple(out)
+
+
+def out_neighbors(nng: gp.NearestNeighborGraph) -> tuple[tuple[int, ...], ...]:
+    """Per node s: sorted nodes served by s, including s itself."""
+    out: list[list[int]] = [[s] for s in range(nng.node_count)]
+    for v, sources in enumerate(nng.in_neighbors):
+        for s in sources:
+            out[s].append(v)
+    return tuple(tuple(sorted(o)) for o in out)
 
 
 def closed_in(nng: gp.NearestNeighborGraph, v: int) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec
-from crosscheck import brute_force_assignment, shortest_path_min_assignment
+from crosscheck import brute_force_assignment, out_neighbors, shortest_path_min_assignment
 
 F = Fraction
 
@@ -43,9 +43,43 @@ def test_tx_matrix_example(ex1, ex1_nng):
 def test_tx_row_zero_iff_no_receivers(ex1, ex1_nng):
     # C supplies nobody, so storing anything there is free
     tx = gp.tx_latency_matrix(ex1, ex1_nng)
-    out_sets = ex1_nng.out_neighbors()
+    out_sets = out_neighbors(ex1_nng)
     assert out_sets[2] == (2,)
     assert all(x == 0 for x in tx.values[2])
+
+
+def test_tx_matrix_equals_the_out_neighbor_definition():
+    """Seeded networks with RTTs in 1..3, k from 1 to 4, and at most 64
+    supply graphs each: on every supply graph, the in-edge walk gives
+    entry (s, j) = sum of rtt(s, v) * demand(v, j) over the nodes v
+    that s serves."""
+    rng = random.Random(29)
+    networks = tied = graphs = 0
+    for k in range(1, 5):
+        for _ in range(60):
+            n = rng.randint(max(k, 2), 7)
+            rtt = [[0] * n for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    rtt[u][v] = rtt[v][u] = rng.randint(1, 3)
+            weights = [[rng.randint(0, 4) for _ in range(k)] for _ in range(n)]
+            weights[0][0] += 1
+            total = sum(map(sum, weights))
+            demands = [[F(w, total) for w in row] for row in weights]
+            spec = gp.make_spec([f"t{i}" for i in range(n)], rtt, demands, k)
+            nngs = gp.enumerate_nngs(spec, cap=64)
+            if nngs.truncated:
+                continue
+            networks += 1
+            tied += len(nngs.graphs) > 1
+            for nng in nngs.graphs:
+                want = tuple(
+                    tuple(sum(spec.rtt[s][v] * spec.demands[v][j] for v in out) for j in range(k))
+                    for s, out in enumerate(out_neighbors(nng))
+                )
+                assert gp.tx_latency_matrix(spec, nng).values == want
+                graphs += 1
+    assert networks >= 150 and tied >= 80 and graphs >= 1000, (networks, tied, graphs)
 
 
 def test_tx_requires_unit_capacity(ex1, ex1_nng):

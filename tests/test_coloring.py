@@ -17,6 +17,7 @@ from crosscheck import (
     enumerate_colorings,
     infeasible_instance,
     is_proper_partition,
+    reference_elimination_order,
     reference_greedy_clique,
     reference_min_cost_coloring,
 )
@@ -49,7 +50,7 @@ def test_infeasible_clique_certificate():
     assert isinstance(found, gp.Infeasible)
     assert found.exhausted
     assert found.certificate is not None and len(found.certificate) == 4
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     for a in found.certificate:
         for b in found.certificate:
             if a != b:
@@ -60,7 +61,7 @@ def _colorings_by_force(h, k):
     """Reference enumeration: label nodes 0..k-1 outright, keep proper
     surjective labelings, canonicalize to partitions."""
     n = h.node_count
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     seen = set()
     for labels in product(range(k), repeat=n):
         if len(set(labels)) != k:
@@ -204,7 +205,7 @@ def _vector_steps(h, covers):
     """Each step's scope, and whether it is a vector step: a scope of at
     most one node, and no cover and no table over two or more nodes in
     its bucket."""
-    order, scopes = gp.coloring._elimination_order(h.adjacency_masks(), covers)
+    order, scopes = gp.coloring._elimination_order(h.adjacency_masks, covers)
     step = {v: i for i, v in enumerate(order)}
     filed = {min(map(step.get, c)) for c in covers if c}
     filed |= {min(map(step.get, scope)) for scope in scopes if len(scope) > 1}
@@ -251,20 +252,56 @@ def test_vector_steps_equal_the_reference_loop(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
-def _bench_conflict_graphs():
-    """The conflict graph ``plan`` builds for each seed-1 instance of the
-    benchmark's planning workloads."""
+def _bench_conflict_graphs(names=("plan-k2-geo", "plan-k3-infeasible", "verify-small")):
+    """The conflict graph and covers ``plan`` builds for each seed-1
+    instance of the named benchmark workloads."""
     sys.path.insert(0, str(BENCH))
     try:
         from workloads import generate
     finally:
         sys.path.remove(str(BENCH))
     params = json.loads((BENCH / "workloads.json").read_text())
-    for name in ("plan-k2-geo", "plan-k3-infeasible", "verify-small"):
+    for name in names:
         for inst in generate(name, params[name], 1):
             work = gp.expand_multifile(gp.spec_from_dict(inst.network)).network
-            shared = tuple(t.shared for t in supplier_tiers(work))
-            yield gp.build_extended_graph(gp.NearestNeighborGraph(work.node_ids, shared))
+            tiers = supplier_tiers(work)
+            shared = tuple(t.shared for t in tiers)
+            covers = [(v, *t.forced, *t.tied) for v, t in enumerate(tiers) if t.picks < len(t.tied)]
+            yield gp.build_extended_graph(gp.NearestNeighborGraph(work.node_ids, shared)), covers
+
+
+def test_heap_elimination_order_equals_the_scan():
+    """2,000 seeded random graphs of 1 to 40 nodes with 0 to 3 covers,
+    and the conflict graphs and covers of the benchmark's seed-1
+    ``plan-k2-geo`` and ``verify-small`` pools: the lazy heap gives the
+    scan's order and scopes.  Fill both raises a node's degree above
+    its starting one and, as neighbors go, lowers it below."""
+    rng = random.Random(29)
+    cases = list(_bench_conflict_graphs(("plan-k2-geo", "verify-small")))
+    bench = len(cases)
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.03, 0.08, 0.15, 0.3, 0.6))
+        edges = tuple((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density)
+        h = gp.ExtendedGraph(node_ids=tuple(f"x{i}" for i in range(n)), edges=edges)
+        sizes = [rng.randint(1, min(n, 6)) for _ in range(rng.randint(0, 3))]
+        covers = [tuple(rng.sample(range(n), size)) for size in sizes]
+        cases.append((h, covers))
+    rose = fell = 0
+    for h, covers in cases:
+        masks = h.adjacency_masks
+        order, scopes = gp.coloring._elimination_order(masks, covers)
+        assert (order, scopes) == reference_elimination_order(masks, covers)
+        # each node's neighbors before any step: conflict edges and cover cliques
+        start = [{w for w in range(h.node_count) if m >> w & 1} for m in masks]
+        for cover in covers:
+            for u in cover:
+                start[u] |= set(cover) - {u}
+        start = list(map(len, start))
+        rose += sum(len(scope) > start[v] for v, scope in zip(order, scopes))
+        fell += sum(len(scope) < start[v] for v, scope in zip(order, scopes))
+    assert bench >= 200, bench
+    assert rose >= 1000 and fell >= 1000, (rose, fell)
 
 
 def test_greedy_clique_walks_each_seeds_neighbors_alone():
@@ -272,7 +309,7 @@ def test_greedy_clique_walks_each_seeds_neighbors_alone():
     clique search over each seed's neighbors returns the clique of the
     scan over every node, for every stop_above from 1 to 4."""
     rng = random.Random(67)
-    graphs = list(_bench_conflict_graphs())
+    graphs = [h for h, _ in _bench_conflict_graphs()]
     for _ in range(200):
         n = rng.randint(1, 14)
         density = rng.choice((0.15, 0.3, 0.5, 0.8))

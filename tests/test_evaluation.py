@@ -164,6 +164,43 @@ def test_integer_report_matches_its_fraction_views():
     assert True in outcomes and False in outcomes
 
 
+def test_report_text_is_each_latency_over_the_scale():
+    """Random integer reports: every rendered latency, worst case and
+    floor is ``frac_str(Fraction(t, scale))``, zero and the multiples of
+    the scale (bare integers) included."""
+    rng = random.Random(2903)
+    seen = {"zero": 0, "whole": 0, "ratio": 0}
+    for _ in range(300):
+        scale = rng.choice((1, 2, 6, 10, 12, 35, rng.randint(1, 10**6)))
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+
+        def latency():
+            kind = rng.randrange(3)
+            return (0, scale * rng.randint(1, 9), rng.randint(1, 10 * scale))[kind]
+
+        fetch = tuple(tuple(latency() for _ in range(k)) for _ in range(n))
+        floors = tuple(latency() for _ in range(n))
+        report = gp.LatencyReport(
+            node_ids=tuple(f"x{v}" for v in range(n)),
+            file_count=k,
+            fetch=fetch,
+            floors=floors,
+            scale=scale,
+            average=F(rng.randint(0, 99), scale),
+        )
+        text = report.to_dict()
+
+        def want(t):
+            return frac_str(F(t, scale))
+
+        assert text["latencies"] == [[want(t) for t in row] for row in fetch]
+        assert text["worst_case"] == [want(max(row)) for row in fetch]
+        assert text["worst_case_bounds"] == list(map(want, floors))
+        for t in (*floors, *(t for row in fetch for t in row)):
+            seen["zero" if t == 0 else "whole" if t % scale == 0 else "ratio"] += 1
+    assert min(seen.values()) >= 500, seen
+
+
 def test_worst_case_never_beats_bounds():
     rng = random.Random(51)
     for _ in range(30):

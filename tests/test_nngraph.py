@@ -11,7 +11,7 @@ import pytest
 
 import geoplan as gp
 from conftest import random_spec, tie_heavy_spec
-from crosscheck import admissible_placements, closed_in, is_admissible
+from crosscheck import admissible_placements, closed_in, is_admissible, out_neighbors
 from geoplan.nngraph import first_supply_graph, supplier_tiers
 
 
@@ -32,7 +32,7 @@ def test_example_in_sets(ex1, ex1_nng):
 
 
 def test_example_out_sets(ex1, ex1_nng):
-    outs = ex1_nng.out_neighbors()
+    outs = out_neighbors(ex1_nng)
     assert tuple(ex1.node_ids[u] for u in outs[0]) == ("A", "B", "D")
     assert tuple(ex1.node_ids[u] for u in outs[2]) == ("C",)
 
@@ -200,7 +200,7 @@ def test_closed_in_sets_are_cliques(ex1_nng):
     specs = [random_spec(rng) for _ in range(10)]
     for nng in [ex1_nng] + [gp.build_nng(s) for s in specs]:
         h = gp.build_extended_graph(nng)
-        masks = h.adjacency_masks()
+        masks = h.adjacency_masks
         for v in range(nng.node_count):
             members = closed_in(nng, v)
             for a in members:
@@ -301,3 +301,22 @@ def test_per_node_predicate_matches_graph_enumeration():
         best = min(((sum(costs[s][j] for s, j in enumerate(f)), f) for f in expected), default=None)
         assert gp.min_cost_coloring(h, costs, covers) == best
     assert tied >= 120
+
+
+def test_first_supply_graph_refuses_file_indices_out_of_range(ex1):
+    """A file index outside 0..k-1 is refused, not read as a file the
+    other nodes lack: (0, 1, 2, 9) and (-1, 1, 2, 0) used to come back
+    as supply graph 0, while a placement short of a file is refused.
+    So is a placement that does not give one file per node."""
+    tiers = supplier_tiers(ex1)
+    assert first_supply_graph(ex1, tiers, (0, 1, 0, 2))[0] == 0
+    for files in ((0, 1, 2, 9), (-1, 1, 2, 0), (0, 1, 0, 3)):
+        with pytest.raises(gp.InvalidInputError, match="out of range"):
+            first_supply_graph(ex1, tiers, files)
+    with pytest.raises(gp.InvalidInputError, match="no supply graph"):
+        first_supply_graph(ex1, tiers, (0, 1, 2, 2))
+    # one file per node: a short placement used to raise IndexError, a
+    # long one had its extra entries ignored
+    for files in ((0, 1, 0), (0, 1, 0, 2, 1)):
+        with pytest.raises(gp.InvalidInputError, match="placement covers"):
+            first_supply_graph(ex1, tiers, files)

@@ -116,7 +116,7 @@ def test_infeasible_certificate_is_a_real_obstruction():
     members = [index[node_id] for node_id in outcome.certificate_ids]
     assert len(members) == spec.file_count + 1
     h = gp.build_extended_graph(gp.build_nng(spec))
-    masks = h.adjacency_masks()
+    masks = h.adjacency_masks
     for a in members:
         for b in members:
             if a != b:
@@ -249,14 +249,17 @@ def test_plan_multi_random_projection_consistency():
 
 
 # Skews every direct evaluation the planner and the oracle audit against,
-# then the planner's matrix method, and records which audits still fire
-# with asserts compiled out.
+# then the planner's matrix method, then the direct evaluation's floors,
+# then only the evaluation of a multi-capacity network as given, and
+# records which audits still fire with asserts compiled out.
 SKEWED_AUDITS = """
 import dataclasses, sys
 import geoplan as gp
 from geoplan import oracle, planner
 
 real = gp.eval_uncoded
+example = gp.example_instance()
+multi = gp.make_spec(example.node_ids, example.rtt, example.demands, 3, capacities=(2, 1, 1, 1))
 
 def skewed(spec, placement):
     report = real(spec, placement)
@@ -283,6 +286,29 @@ try:
 except gp.AuditError as exc:
     if "elimination" in str(exc):
         fired.append("elimination")
+planner.hungarian_min_assignment = hungarian
+
+def raised_floors(spec, placement):
+    report = real(spec, placement)
+    return dataclasses.replace(report, floors=tuple(t + 1 for t in report.floors))
+
+def skewed_as_given(spec, placement):
+    report = real(spec, placement)
+    if spec.is_unit_capacity:
+        return report
+    return dataclasses.replace(report, average=report.average + 1)
+
+for name, skew, spec, words in (
+    ("floor", raised_floors, example, "worst-case floor"),
+    ("projection", skewed_as_given, multi, "projected average"),
+):
+    planner.eval_uncoded = skew
+    try:
+        gp.plan(spec)
+    except gp.AuditError as exc:
+        if words in str(exc):
+            fired.append(name)
+    planner.eval_uncoded = real
 print(*fired)
 """
 
@@ -297,7 +323,9 @@ def test_audits_fire_under_python_O():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "geoplan.planner", "geoplan.oracle", "elimination"]
+    assert proc.stdout.split() == [
+        "1", "geoplan.planner", "geoplan.oracle", "elimination", "floor", "projection"
+    ]
 
 
 def test_transmit_costs_are_built_only_for_uncertified_graphs(monkeypatch):
