@@ -12,11 +12,13 @@ first, in O((n + fill) log n)); each cover and each table over two
 or more nodes is then filed once, in the bucket of its first-eliminated
 member, and a numeric pass joins each bucket's tables.  The clique
 search and the elimination read one set of adjacency masks, which
-``ExtendedGraph`` builds on first use.  A table over one node is k
-costs, added into that node's own; a node with at most one node in
-scope and an empty bucket goes by a vector step over its k costs, the
-tree step of nonserial dynamic programming (Bertele and Brioschi,
-1972), with no row table.
+``build_extended_graph`` ORs straight from the closed in-sets (an
+``ExtendedGraph`` given by pairs builds them on first use); the clique
+search lists each node's neighbors from them, most neighbors first.
+A table over one node is k costs, added into that node's own; a node
+with at most one node in scope and an empty bucket goes by a vector
+step over its k costs, the tree step of nonserial dynamic programming
+(Bertele and Brioschi, 1972), with no row table.
 ``iter_colorings`` enumerates every partition by backtracking,
 with two symmetry breaks: a seed clique (found greedily, and in
 conflict graphs every closed in-neighborhood is one) is placed first so
@@ -72,17 +74,17 @@ def _greedy_clique(h: ExtendedGraph, stop_above: int) -> tuple[int, ...]:
     """Largest clique found greedily; stops early past ``stop_above`` nodes."""
     masks = h.adjacency_masks
     n = h.node_count
-    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
-    adjacent: list[list[int]] = [[] for _ in range(n)]
-    for a, b in h.edges:
-        adjacent[a].append(b)
-        adjacent[b].append(a)
+    # most neighbors first; the sort is stable, so ties go to the lower index
+    order = sorted(range(n), key=[-m.bit_count() for m in masks].__getitem__)
     # each node's neighbors, in that order: no other node can join a
     # clique that holds the seed
     near: list[list[int]] = [[] for _ in range(n)]
     for u in order:
-        for w in adjacent[u]:
-            near[w].append(u)
+        rest = masks[u]
+        while rest:
+            low = rest & -rest
+            near[low.bit_length() - 1].append(u)
+            rest ^= low
     best: tuple[int, ...] = ()
     for seed in order:
         clique = [seed]

@@ -20,7 +20,11 @@ and additionally joins those in-neighbors pairwise, which turns every
 closed in-neighborhood into a k-clique.  A placement of single files on
 nodes keeps every fetch inside the nearest-neighbor graph exactly when
 it induces a proper k-coloring of this extension, which is what the
-planner searches for.
+planner searches for.  ``build_extended_graph`` builds it as one
+adjacency bit mask per node, OR-ing each closed in-neighborhood's mask
+into its members' with no pair set and no sort; the ``ExtendedGraph``
+it returns derives its sorted ``edges`` only when something reads them
+(export, DOT rendering).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice, product
 from math import comb, prod
+from operator import xor
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceededError, InvalidInputError, InvalidSpecError
@@ -60,13 +65,32 @@ class NearestNeighborGraph:
         )
 
 
-@dataclass(frozen=True)
 class ExtendedGraph:
     """Undirected conflict graph whose proper k-colorings are the
-    placements that keep every fetch within the nearest-neighbor graph."""
+    placements that keep every fetch within the nearest-neighbor graph.
 
-    node_ids: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    ``adjacency_masks[v]`` holds v's neighbors as one bit mask, which
+    the clique search and the elimination read; ``edges`` lists the
+    (lower, higher) neighbor pairs in order.  A graph is given by one
+    of the two and derives the other on first read:
+    ``ExtendedGraph(node_ids, edges)`` from pairs in any order,
+    ``build_extended_graph`` from masks, so a plan never builds pairs.
+    """
+
+    def __init__(
+        self,
+        node_ids: Sequence[str],
+        edges: Sequence[tuple[int, int]] | None = None,
+        *,
+        adjacency_masks: Sequence[int] | None = None,
+    ):
+        if (edges is None) == (adjacency_masks is None):
+            raise TypeError("an ExtendedGraph takes exactly one of edges and adjacency_masks")
+        self.node_ids = tuple(node_ids)
+        if edges is None:
+            self.adjacency_masks = tuple(adjacency_masks)
+        else:
+            self.edges = tuple(edges)
 
     @property
     def node_count(self) -> int:
@@ -74,13 +98,24 @@ class ExtendedGraph:
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Per node, its neighbors as one bit mask; built on first use,
-        so the clique search and the elimination share one build."""
+        """Per node, its neighbors as one bit mask."""
         masks = [0] * self.node_count
         for a, b in self.edges:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
         return tuple(masks)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (lower, higher) neighbor pairs, sorted."""
+        out = []
+        for a, mask in enumerate(self.adjacency_masks):
+            above = mask >> (a + 1) << (a + 1)  # the neighbors above a
+            while above:
+                low = above & -above
+                out.append((a, low.bit_length() - 1))
+                above ^= low
+        return tuple(out)
 
 
 def _check_buildable(spec: NetworkSpec) -> None:
@@ -107,19 +142,15 @@ class SupplierTier(NamedTuple):
     """Node v's candidate suppliers: ``threshold`` is the (k-1)-th
     smallest RTT to v on the integer scale, ``forced`` the peers
     strictly closer, ``tied`` the peers at exactly that distance, of
-    which every supply graph takes ``picks``."""
+    which every supply graph takes ``picks``, and ``shared`` the
+    suppliers every supply graph gives v, sorted: ``forced`` and
+    ``tied`` together when every tied peer is taken, else ``forced``."""
 
     threshold: int
     forced: tuple[int, ...]
     tied: tuple[int, ...]
     picks: int
-
-    @property
-    def shared(self) -> tuple[int, ...]:
-        """The suppliers every supply graph gives v."""
-        if self.picks == len(self.tied):
-            return tuple(sorted(self.forced + self.tied))
-        return self.forced
+    shared: tuple[int, ...]
 
 
 def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
@@ -135,7 +166,7 @@ def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
     _check_buildable(spec)
     need = spec.file_count - 1
     if not need:
-        return (SupplierTier(0, (), (), 0),) * spec.node_count
+        return (SupplierTier(0, (), (), 0, ()),) * spec.node_count
     tiers = []
     for v, (order, dist) in enumerate(zip(spec.nearest, spec.rtt_scaled)):
         # v precedes its (k-1)-th nearest peer unless both are at distance
@@ -146,7 +177,10 @@ def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
         forced = sorted(order[:start])
         tied = list(order[start:end])
         (forced if threshold else tied).remove(v)
-        tiers.append(SupplierTier(threshold, tuple(forced), tuple(tied), need - len(forced)))
+        forced, tied = tuple(forced), tuple(tied)
+        picks = need - len(forced)
+        shared = tuple(sorted(forced + tied)) if picks == len(tied) else forced
+        tiers.append(SupplierTier(threshold, forced, tied, picks, shared))
     return tuple(tiers)
 
 
@@ -255,12 +289,22 @@ def first_supply_graph(
 
 
 def build_extended_graph(nng: NearestNeighborGraph) -> ExtendedGraph:
-    """Undirected extension: node-to-supplier edges plus supplier cliques."""
-    edges: set[tuple[int, int]] = set()
+    """Undirected extension: node-to-supplier edges plus supplier cliques.
+
+    Built as bit masks: the mask of every closed in-neighborhood (a
+    node and its suppliers) is OR-ed into each member's, and each
+    node's own bit is cleared at the end.
+    """
+    bit = [1 << v for v in range(nng.node_count)]
+    masks = bit[:]
     for v, sources in enumerate(nng.in_neighbors):
-        # every pair of the closed in-neighborhood, as (lower, higher)
-        edges.update(combinations(sorted((v, *sources)), 2))
-    return ExtendedGraph(node_ids=nng.node_ids, edges=tuple(sorted(edges)))
+        closed = bit[v]
+        for s in sources:
+            closed |= bit[s]
+        for s in sources:
+            masks[s] |= closed
+        masks[v] |= closed
+    return ExtendedGraph(nng.node_ids, adjacency_masks=tuple(map(xor, masks, bit)))
 
 
 # ---------------------------------------------------------------------------

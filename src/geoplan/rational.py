@@ -29,6 +29,7 @@ import re
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import BudgetExceededError
 
@@ -113,8 +114,10 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     is the lcm of the reduced denominators, so equal matrices give equal
     pairs.  When every cell is exactly a ``str``, as every cell read
     from a file is, each distinct literal is parsed once, in row-major
-    order of first use; in-process numbers are parsed once per cell (see
-    the module docstring for why).  The memo lives for this call only.
+    order of first use, and each row is then read from that memo of
+    literal to scaled value with one ``itemgetter(*row)`` call;
+    in-process numbers are parsed once per cell (see the module
+    docstring for why).  The memo lives for this call only.
     The first bad cell, or row that is not a list, in row-major order
     raises.  A scale or a cell of more than ``MAX_DIGITS`` digits raises
     ``BudgetExceededError``.
@@ -140,8 +143,12 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     if max(map(abs, chain((scale,), values))) >= _BOUND:
         raise BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
     if literal:
-        value = dict(zip(cells, values)).__getitem__
-        return tuple(tuple(map(value, row)) for row in rows), scale
+        memo = dict(zip(cells, values))
+        # one itemgetter call per row; it returns a bare value for one key
+        return tuple(
+            itemgetter(*row)(memo) if len(row) > 1 else tuple(map(memo.__getitem__, row))
+            for row in rows
+        ), scale
     values = iter(values)  # row-major, one value per cell
     return tuple(tuple(islice(values, len(row))) for row in rows), scale
 

@@ -3,11 +3,15 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import geoplan as gp
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 ACCEPTANCE_TITLES = {
     1: "golden cost matrix solved exactly in under a millisecond",
@@ -101,6 +105,20 @@ def random_spec(rng, n=None, k=None, max_nodes=7, max_files=4, multi=False):
     demands = [[Fraction(w, total) for w in row] for row in weights]
     ids = [f"n{i}" for i in range(n)]
     return gp.make_spec(ids, rtt, demands, k, capacities=caps)
+
+
+def bench_networks(names, seed=1):
+    """The unit-capacity network ``plan`` works on for each instance of
+    the named benchmark workloads at ``seed``."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import generate
+    finally:
+        sys.path.remove(str(BENCH))
+    params = json.loads((BENCH / "workloads.json").read_text())
+    for name in names:
+        for inst in generate(name, params[name], seed):
+            yield gp.expand_multifile(gp.spec_from_dict(inst.network)).network
 
 
 def tie_heavy_spec(rng, accept, multi=False):

@@ -14,6 +14,9 @@ scan of every live node per step, which ``coloring._elimination_order``
 reproduces from a lazy heap; ``reference_greedy_clique`` is the clique
 search that scans every node for every seed, which
 ``coloring._greedy_clique`` reproduces from each seed's neighbors alone.
+``pair_set_extended_graph`` builds the conflict graph as a sorted set
+of pairs, which ``geoplan.build_extended_graph`` reproduces as bit
+masks.
 ``receive_side_avg`` is the receive-side form of the average latency,
 ``out_neighbors`` lists the nodes each node serves (the sender-side
 definition ``geoplan.tx_latency_matrix`` reproduces from in-edges),
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import lcm
 from operator import itemgetter, or_
 from typing import Sequence
@@ -299,6 +302,16 @@ def reference_greedy_clique(h: gp.ExtendedGraph, stop_above: int) -> tuple[int, 
     return best
 
 
+def pair_set_extended_graph(nng: gp.NearestNeighborGraph) -> gp.ExtendedGraph:
+    """The conflict graph from its pairs: every pair of each closed
+    in-neighborhood, as (lower, higher), collected in a set and sorted.
+    ``geoplan.build_extended_graph`` ORs the same pairs into bit masks."""
+    edges: set[tuple[int, int]] = set()
+    for v, sources in enumerate(nng.in_neighbors):
+        edges.update(combinations(sorted((v, *sources)), 2))
+    return gp.ExtendedGraph(node_ids=nng.node_ids, edges=tuple(sorted(edges)))
+
+
 def is_proper_partition(h: gp.ExtendedGraph, classes) -> bool:
     """Independent-set check for every class."""
     masks = h.adjacency_masks
@@ -377,8 +390,9 @@ def receive_side_avg(spec: gp.NetworkSpec, nng: gp.NearestNeighborGraph, placeme
 
 def column_sort_tiers(spec: gp.NetworkSpec) -> tuple[SupplierTier, ...]:
     """Per node v of a unit-capacity spec: the (k-1)-th smallest RTT to
-    v from a sort of v's column, the peers strictly closer, and the
-    peers at exactly that RTT, all by index."""
+    v from a sort of v's column, the peers strictly closer, the peers
+    at exactly that RTT, all by index, and the suppliers that every
+    choice of the tied peers to take includes."""
     need = spec.file_count - 1
     tiers = []
     for v, column in enumerate(zip(*spec.rtt_scaled)):
@@ -386,7 +400,9 @@ def column_sort_tiers(spec: gp.NetworkSpec) -> tuple[SupplierTier, ...]:
         threshold = sorted(column[s] for s in others)[need - 1] if need else 0
         forced = tuple(s for s in others if column[s] < threshold)
         tied = tuple(s for s in others if column[s] == threshold) if need else ()
-        tiers.append(SupplierTier(threshold, forced, tied, need - len(forced)))
+        picks = need - len(forced)
+        always = set(tied).intersection(*combinations(tied, picks))
+        tiers.append(SupplierTier(threshold, forced, tied, picks, tuple(sorted({*forced, *always}))))
     return tuple(tiers)
 
 

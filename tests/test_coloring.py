@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 import geoplan as gp
-from conftest import random_spec
+from conftest import bench_networks, random_spec
 from crosscheck import (
     class_of,
     enumerate_colorings,
@@ -22,8 +19,6 @@ from crosscheck import (
     reference_min_cost_coloring,
 )
 from geoplan.nngraph import supplier_tiers
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_example_has_unique_coloring(ex1_nng):
@@ -255,19 +250,11 @@ def test_vector_steps_equal_the_reference_loop(monkeypatch):
 def _bench_conflict_graphs(names=("plan-k2-geo", "plan-k3-infeasible", "verify-small")):
     """The conflict graph and covers ``plan`` builds for each seed-1
     instance of the named benchmark workloads."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        from workloads import generate
-    finally:
-        sys.path.remove(str(BENCH))
-    params = json.loads((BENCH / "workloads.json").read_text())
-    for name in names:
-        for inst in generate(name, params[name], 1):
-            work = gp.expand_multifile(gp.spec_from_dict(inst.network)).network
-            tiers = supplier_tiers(work)
-            shared = tuple(t.shared for t in tiers)
-            covers = [(v, *t.forced, *t.tied) for v, t in enumerate(tiers) if t.picks < len(t.tied)]
-            yield gp.build_extended_graph(gp.NearestNeighborGraph(work.node_ids, shared)), covers
+    for work in bench_networks(names):
+        tiers = supplier_tiers(work)
+        shared = tuple(t.shared for t in tiers)
+        covers = [(v, *t.forced, *t.tied) for v, t in enumerate(tiers) if t.picks < len(t.tied)]
+        yield gp.build_extended_graph(gp.NearestNeighborGraph(work.node_ids, shared)), covers
 
 
 def test_heap_elimination_order_equals_the_scan():

@@ -10,8 +10,14 @@ from itertools import product
 import pytest
 
 import geoplan as gp
-from conftest import random_spec, tie_heavy_spec
-from crosscheck import admissible_placements, closed_in, is_admissible, out_neighbors
+from conftest import bench_networks, random_spec, tie_heavy_spec
+from crosscheck import (
+    admissible_placements,
+    closed_in,
+    is_admissible,
+    out_neighbors,
+    pair_set_extended_graph,
+)
 from geoplan.nngraph import first_supply_graph, supplier_tiers
 
 
@@ -193,6 +199,39 @@ def test_extended_graph_example(ex1, ex1_nng):
     names = {(h.node_ids[a], h.node_ids[b]) for a, b in h.edges}
     assert names == {("A", "B"), ("A", "D"), ("B", "C"), ("B", "D"), ("C", "D")}
     assert ("A", "C") not in names
+
+
+def test_mask_built_conflict_graph_equals_the_pair_set():
+    """The masks ``build_extended_graph`` ORs from the closed in-sets,
+    and the edges derived from them, equal the sorted pair set: on the
+    shared-supplier graph and every supply graph of 150 seeded networks
+    with RTTs in 1..3 (half of them multi-capacity expansions) and of
+    the benchmark's 40 seed-1 planted-square networks with k = 3."""
+    rng = random.Random(3003)
+    works = [
+        gp.expand_multifile(
+            tie_heavy_spec(rng, lambda work: gp.enumerate_nngs(work).total <= 64, multi=i % 2)
+        ).network
+        for i in range(150)
+    ]
+    squares = list(bench_networks(("plan-k3-infeasible",)))
+    assert len(squares) == 40 and {work.file_count for work in squares} == {3}
+    seen = {"tied": 0, "expanded": 0}
+    for work in works + squares:
+        tiers = supplier_tiers(work)
+        shared = gp.NearestNeighborGraph(work.node_ids, tuple(t.shared for t in tiers))
+        enum = gp.enumerate_nngs(work)
+        for nng in (shared, *enum.graphs):
+            h = gp.build_extended_graph(nng)
+            want = pair_set_extended_graph(nng)
+            assert h.node_ids == want.node_ids
+            assert h.adjacency_masks == want.adjacency_masks
+            assert h.edges == want.edges
+        seen["tied"] += enum.total > 1
+        seen["expanded"] += any("#" in node_id for node_id in work.node_ids)
+    assert seen["tied"] >= 100 and seen["expanded"] >= 40, seen
+    with pytest.raises(TypeError):
+        gp.ExtendedGraph(("a",), edges=(), adjacency_masks=(0,))
 
 
 def test_closed_in_sets_are_cliques(ex1_nng):

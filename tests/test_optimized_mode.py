@@ -9,16 +9,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 RENDER = """
 import json
 import geoplan as gp
+from crosscheck import infeasible_instance
 
 print(__debug__)
 ex1 = gp.example_instance()
 multi = gp.make_spec(ex1.node_ids, ex1.rtt, ex1.demands, 3, capacities=(2, 1, 1, 1))
-for spec in (ex1, multi):
+for spec in (ex1, multi, infeasible_instance()):
     report = gp.plan(spec)
     print(json.dumps(report.to_dict(), sort_keys=True))
     print(json.dumps(gp.verify_plan(spec, report).to_dict(), sort_keys=True))
@@ -41,7 +43,7 @@ def test_package_has_no_assert_statements():
 
 
 def test_optimized_mode_renders_the_same_reports():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))}
     plain, optimized = (
         subprocess.run(
             [sys.executable, *flags, "-c", RENDER],
@@ -52,5 +54,6 @@ def test_optimized_mode_renders_the_same_reports():
     debug, reports = plain.split("\n", 1)
     assert debug == "True"
     assert optimized == f"False\n{reports}"
-    assert reports.count('"status": "verified"') == 2
+    assert reports.count('"status": "verified"') == 3
+    assert reports.count('"certificate": ["A", "B", "C", "D"]') == 1
     assert [line.split(" ", 1)[0] for line in reports.splitlines()[-3:]] == ["True", "False", "True"]
