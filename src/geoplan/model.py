@@ -7,12 +7,15 @@ the probability that the next request system-wide originates at node v
 and asks for file j, so the demand matrix sums to one over the whole
 network, not per row.
 
-Each distinct cell literal of a matrix is parsed once, to an integer
-pair (``rational.to_ratio``), and each matrix is held once, as exact
-integers over the least common multiple of its denominators, so equal
-networks are equal specs; its ``Fraction`` view is built only when
-something reports it.  ``load_spec`` keeps every JSON number the text
-it is written as, so bare and quoted numbers read alike.
+Each distinct cell literal of a matrix is parsed once
+(``rational.scaled_rows``: plain digits or digits/digits in a few bulk
+passes over the whole matrix, any other literal by
+``rational.to_ratio``), and each matrix is held once, as exact integers
+over the least common multiple of its denominators, so equal networks
+are equal specs; its ``Fraction`` view is built only when something
+reports it.  A count that is already an int is taken as it is.
+``load_spec`` keeps every JSON number the text it is written as, so
+bare and quoted numbers read alike.
 
 Nodes with capacity above one are reduced to unit-capacity sub-nodes:
 the sub-nodes of one node sit at round-trip time zero from each other,
@@ -28,7 +31,8 @@ the order of round-trip times, so non-strict ``require_valid`` (cached
 as ``NetworkSpec.validation``) runs the O(n^2) structural checks alone:
 node ids and capacities (an id the expansion would reuse included), the
 RTT matrix's shape, diagonal, sign and symmetry, and the demand
-matrix's shape, sign and sum.
+matrix's shape, sign and sum.  The demand sign is one minimum over the
+cells; its per-cell loop runs only to word a negative cell.
 
 A spec computes what it derives once, on first use, and caches it on
 the spec object: ``validation``, the capacity expansion, ``nearest``
@@ -45,7 +49,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import lcm
 from operator import add
 from typing import Iterable, Sequence
@@ -204,13 +208,17 @@ def make_spec(
 
 def _count(value, what: str) -> int:
     """An integral count: an int or an integral rational such as 3.0,
-    of at most ``MAX_DIGITS`` digits (BudgetExceededError past that)."""
-    try:
-        count, rest = divmod(*to_ratio(value))
-    except (TypeError, ValueError):
-        rest = 1
-    if rest:
-        raise InvalidInputError(f"{what} must be an integer, got {value}")
+    of at most ``MAX_DIGITS`` digits (BudgetExceededError past that).
+    A plain int is taken as it is; anything else, a bool included, is
+    read by ``to_ratio``."""
+    count = value
+    if type(value) is not int:
+        try:
+            count, rest = divmod(*to_ratio(value))
+        except (TypeError, ValueError):
+            rest = 1
+        if rest:
+            raise InvalidInputError(f"{what} must be an integer, got {value}")
     if abs(count) >= _BOUND:
         raise BudgetExceededError(f"{what} has more than {MAX_DIGITS} digits")
     return count
@@ -383,17 +391,19 @@ def _demand_checks(spec: NetworkSpec) -> list[Violation]:
     if not (len(demands) == n and all(len(row) == k for row in demands)):
         return [Violation("demand-shape", f"demand matrix must be {n}x{k}", "error")]
     out: list[Violation] = []
-    for v in range(n):
-        for j in range(k):
-            if demands[v][j] < 0:
-                out.append(
-                    Violation(
-                        "demand-negative",
-                        f"negative demand at node {spec.node_ids[v]}, file {j + 1}",
-                        "error",
-                        (v, j),
+    # one C-level pass clears the usual matrix; the loop only words faults
+    if min(chain.from_iterable(demands), default=0) < 0:
+        for v in range(n):
+            for j in range(k):
+                if demands[v][j] < 0:
+                    out.append(
+                        Violation(
+                            "demand-negative",
+                            f"negative demand at node {spec.node_ids[v]}, file {j + 1}",
+                            "error",
+                            (v, j),
+                        )
                     )
-                )
     if not out:
         total = Fraction(sum(map(sum, demands)), spec.demand_scale)
         if abs(total - 1) > DEMAND_SUM_TOLERANCE:
@@ -555,7 +565,30 @@ def spec_from_dict(data: dict) -> NetworkSpec:
             demands.append(entry.get("demands", []))
         return make_spec(node_ids, data["rtt"], demands, file_count, capacities)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed network file: {exc}") from exc
+        raise InvalidInputError(f"malformed network file: {_field_fault(data) or exc}") from exc
+
+
+def _field_fault(data: dict) -> str | None:
+    """The first missing or mistyped field of a network dict that failed
+    to load, or None when its fault is in a value.  Read only on failure,
+    so a well-formed file pays nothing for it."""
+    lists = (list, tuple)  # a JSON array, or a sequence built in process
+    for key in ("files", "nodes", "rtt"):
+        if key not in data:
+            return f"missing field {key!r}"
+    if not isinstance(data["nodes"], lists):
+        return "field 'nodes' must be a list of node objects"
+    for i, entry in enumerate(data["nodes"]):
+        if not isinstance(entry, dict):
+            return f"nodes[{i}] must be an object"
+        if "id" not in entry:
+            return f"nodes[{i}] has no field 'id'"
+        if not isinstance(entry.get("demands", []), lists):
+            return f"field 'demands' of nodes[{i}] must be a list"
+    rtt = data["rtt"]
+    if not (isinstance(rtt, lists) and all(isinstance(row, lists) for row in rtt)):
+        return "field 'rtt' must be a list of rows"
+    return None
 
 
 def load_spec(

@@ -30,6 +30,7 @@ leaves.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -120,10 +121,12 @@ def brute_force_placement(
     if mode == "admissible_only" and k > 1:
         for v, (row, ranked) in enumerate(zip(rtt_i, order)):
             # ranked starts with v's own distance 0, so its k-th entry is
-            # at v's (k-1)-th nearest peer distance
+            # at v's (k-1)-th nearest peer distance; the slots nearer
+            # than it (v alone when it is 0), and those within it, are
+            # prefixes of ranked, taken in slot order
             far = row[ranked[k - 1]]
-            near = [u for u, d in enumerate(row) if d < far or u == v]
-            within = [u for u, d in enumerate(row) if d <= far]
+            near = sorted(ranked[: bisect_left(ranked, far, key=row.__getitem__)] or [v])
+            within = sorted(ranked[: bisect_right(ranked, far, k - 1, key=row.__getitem__)])
             # k nodes holding all k files hold distinct ones
             distinct = within if len(within) == k else near
             for i, s in enumerate(distinct):
@@ -209,8 +212,11 @@ def brute_force_placement(
             kept.append(tuple(files))
 
     best_value = None if best is None else Fraction(best, work.cost_scale)
+    # sibling slots hold non-decreasing files, so each node's slots in
+    # order are its multiset as projection sorts it
     witnesses = tuple(
-        expanded.project_placement(Placement.from_files(files)) for files in kept[:witness_cap]
+        Placement(tuple(tuple(map(files.__getitem__, group)) for group in expanded.groups))
+        for files in kept[:witness_cap]
     )
     for placement in witnesses:
         # independent confirmation on the exact rational path, on the

@@ -3,11 +3,11 @@
 Round-trip times and demand probabilities are parsed as exact rationals
 and held as integers over one scale per matrix, the least common
 multiple of its denominators, so optimizer results, oracle results and
-report values can be compared for exact equality.  ``to_ratio`` is the
-one parser and ``lowest_terms`` the one reduction; ``scaled_rows`` joins
-them.  The hot paths sum and compare those integers (see
+report values can be compared for exact equality.  ``to_ratio`` parses
+one value and ``lowest_terms`` is the one reduction; ``scaled_rows``
+joins them.  The hot paths sum and compare those integers (see
 `NetworkSpec.cost_scale`) and build a `Fraction` only where a value is
-reported.  Input files reach ``to_ratio`` as text; in-process floats
+reported.  Input files reach ``scaled_rows`` as text; in-process floats
 are read through their shortest decimal representation.
 
 An RTT matrix is symmetric and its cells are rounded distances, so most
@@ -15,7 +15,13 @@ of its string cells repeat.  ``scaled_rows`` therefore parses each
 distinct literal of a matrix once, within one call and for string cells
 only: hashing a ``Fraction`` costs more than reading its ratio, and
 cells of other types can compare equal yet parse differently (``True ==
-1``, the float ``0.1`` and its exact binary ``Fraction``).
+1``, the float ``0.1`` and its exact binary ``Fraction``).  When every
+distinct literal is plain, digits or digits/digits as files and the
+benchmark write them, the matrix is read in a few C-level passes over
+all its literals (split at the slash, one ``int`` map over the
+numerators, one scale factor per distinct denominator); any other
+matrix sends each distinct literal through ``to_ratio``, which reads it
+with ``Fraction``'s own parser.
 
 A well-formed string literal whose digit run or exponent takes it past
 ``MAX_DIGITS`` digits is refused before any conversion, so neither the
@@ -27,9 +33,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import BudgetExceededError
 
@@ -49,7 +55,7 @@ _EXPONENT_LITERAL = re.compile(
 
 def to_ratio(value) -> tuple[int, int]:
     """A JSON-ish numeric value as exact integers ``(p, q)``, ``q > 0``,
-    not always in lowest terms (``scaled_rows`` reduces a whole matrix).
+    in lowest terms.
 
     Strings may be decimal literals ("0.025") or ratios ("1/40").
     Floats are interpreted via their decimal repr, so 0.025 means
@@ -63,13 +69,6 @@ def to_ratio(value) -> tuple[int, int]:
     if isinstance(value, str):
         if len(value) > MAX_DIGITS and _over_long(value):
             raise BudgetExceededError(f"a number literal has more than {MAX_DIGITS} digits")
-        # plain digits and "p/q" skip Fraction's literal parser
-        num, slash, den = value.partition("/")
-        if num.isdecimal() and (den.isdecimal() or not slash):
-            q = int(den or 1)
-            if q:
-                return int(num), q
-            raise ValueError(f"zero denominator in {value!r}")
         literal = _EXPONENT_LITERAL.fullmatch(value)
         if literal:  # the value is mantissa * 10**shift
             whole, fraction, exponent = literal.groups("")
@@ -112,15 +111,16 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     Returns ``(rows, scale)``: ``rows[i][j] / scale`` is
     ``to_ratio(matrix[i][j])``, rows keep their lengths, and ``scale``
     is the lcm of the reduced denominators, so equal matrices give equal
-    pairs.  When every cell is exactly a ``str``, as every cell read
-    from a file is, each distinct literal is parsed once, in row-major
-    order of first use, and each row is then read from that memo of
-    literal to scaled value with one ``itemgetter(*row)`` call;
-    in-process numbers are parsed once per cell (see the module
-    docstring for why).  The memo lives for this call only.
-    The first bad cell, or row that is not a list, in row-major order
-    raises.  A scale or a cell of more than ``MAX_DIGITS`` digits raises
-    ``BudgetExceededError``.
+    pairs.  When every distinct cell is exactly a ``str``, as every cell
+    read from a file is, each distinct literal is parsed once: all of
+    them together when all are plain (``_scaled_plain``), else one
+    ``to_ratio`` call each in row-major order of first use.  Each row is
+    then read from that memo of literal to scaled value with one
+    ``itemgetter(*row)`` call; in-process numbers are parsed once per
+    cell (see the module docstring for why).  The memo lives for this
+    call only.  The first bad cell, or row that is not a list, in
+    row-major order raises.  A scale or a cell of more than
+    ``MAX_DIGITS`` digits raises ``BudgetExceededError``.
     """
     rows = []
     try:
@@ -132,14 +132,24 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
         for cell in chain.from_iterable(rows):
             to_ratio(cell)
         raise
-    cells = [*chain.from_iterable(rows)]
     # the first cell settles a bare-number matrix without a per-cell scan
-    literal = bool(cells) and type(cells[0]) is str and {*map(type, cells)} == {str}
+    literal = type(next(chain.from_iterable(rows), None)) is str
     if literal:
-        cells = [*dict.fromkeys(cells)]
-    ratios = [*map(to_ratio, cells)]
-    scale = lcm(*{q for _, q in ratios})
-    (values,), scale = lowest_terms([[p * (scale // q) for p, q in ratios]], scale)
+        try:
+            cells = dict.fromkeys(chain.from_iterable(rows))
+            literal = {*map(type, cells)} == {str}
+        except TypeError:  # an unhashable cell, which the per-cell path names
+            literal = False
+    if not literal:
+        cells = chain.from_iterable(rows)
+    scaled = literal and _scaled_plain(cells)
+    if scaled:
+        values, scale = scaled
+    else:
+        ratios = [*map(to_ratio, cells)]
+        scale = lcm(*{q for _, q in ratios})
+        values = [p * (scale // q) for p, q in ratios]
+    (values,), scale = lowest_terms([values], scale)
     if max(map(abs, chain((scale,), values))) >= _BOUND:
         raise BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
     if literal:
@@ -151,6 +161,47 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
         ), scale
     values = iter(values)  # row-major, one value per cell
     return tuple(tuple(islice(values, len(row))) for row in rows), scale
+
+
+def _scaled_plain(literals) -> tuple[list[int], int] | None:
+    """``(values, scale)`` with ``values[i] / scale`` the rational that
+    ``to_ratio`` reads from the i-th of the distinct string ``literals``
+    and ``scale`` the lcm of their denominators as written, when every
+    literal is plain, else None.  A plain literal is a run of decimal
+    digits, or two runs joined by one slash, each of at most
+    ``MAX_DIGITS`` digits, with no zero denominator.  Each check and
+    conversion runs over all the literals at once; each distinct
+    denominator is read once."""
+    # zip's arguments come from a list, not from the map: a tuple built
+    # from an iterator is grown by resizing, not taken from the tuple free
+    # list, so each one freed would add to that list (up to 2,000 tuples
+    # per length below 20) and to the process's peak memory
+    nums, slashes, dens = zip(*[*map(str.partition, literals, repeat("/"))])
+    digits = "".join(nums)
+    keys = {*dens}  # the distinct denominators of the literals with a slash
+    keys.discard("")
+    den_digits = "".join(keys)
+    if not (
+        digits.isdecimal()
+        and (den_digits.isdecimal() or not keys)
+        # a slash with nothing after it counts in both
+        and slashes.count("/") + dens.count("") == len(dens)
+        and (
+            len(digits) + len(den_digits) <= MAX_DIGITS
+            or max(map(len, chain(nums, keys))) <= MAX_DIGITS
+        )
+    ):
+        return None
+    qs = [*map(int, keys)]
+    scale = lcm(*qs)
+    if not scale:  # a zero denominator
+        return None
+    factor = dict(zip(keys, map(scale.__floordiv__, qs)))
+    factor[""] = scale
+    try:
+        return [*map(mul, map(int, nums), map(factor.__getitem__, dens))], scale
+    except ValueError:  # an empty numerator
+        return None
 
 
 def lowest_terms(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -408,6 +408,38 @@ def test_malformed_network_fields_exit_1(tmp_path, capsys, broken):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("files"), "missing field 'files'"),
+        (lambda d: d.pop("nodes"), "missing field 'nodes'"),
+        (lambda d: d.pop("rtt"), "missing field 'rtt'"),
+        (lambda d: d.update(nodes=5), "field 'nodes' must be a list of node objects"),
+        (lambda d: d.update(nodes="ab"), "field 'nodes' must be a list of node objects"),
+        (lambda d: d["nodes"].__setitem__(1, "b"), "nodes[1] must be an object"),
+        (lambda d: d["nodes"][1].pop("id"), "nodes[1] has no field 'id'"),
+        (lambda d: d["nodes"][0].update(demands=5), "field 'demands' of nodes[0] must be a list"),
+        (lambda d: d.update(rtt=5), "field 'rtt' must be a list of rows"),
+        (lambda d: d["rtt"].__setitem__(1, 7), "field 'rtt' must be a list of rows"),
+    ],
+    ids=["no-files", "no-nodes", "no-rtt", "nodes-number", "nodes-string", "node-string",
+         "node-without-id", "demands-number", "rtt-number", "rtt-row-number"],
+)
+def test_malformed_network_names_the_field(tmp_path, capsys, edit, message):
+    """A missing or mistyped field is named in the error, not left to a
+    Python exception's own text."""
+    data = {
+        "files": 2,
+        "nodes": [{"id": "a", "demands": [0.25, 0.25]}, {"id": "b", "demands": [0.25, 0.25]}],
+        "rtt": [[0, 1], [1, 0]],
+    }
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["plan", "--spec", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: malformed network file: {message}\n"
+
+
 @pytest.mark.parametrize("where", ["json-rtt", "json-demand", "rtt-csv", "demands-csv"])
 @pytest.mark.parametrize("command", ["validate", "plan"])
 def test_zero_denominator_exits_1(tmp_path, capsys, where, command):

@@ -65,8 +65,8 @@ def test_frac_decimal_half_to_even():
     assert frac_decimal(Fraction(3, 2_000_000)) == "0.000002"
 
 
-# strings Fraction accepts, strings it rejects, and the edges of the
-# digits-only shortcut (signs, spaces, underscores, non-ASCII digits)
+# strings Fraction accepts, strings it rejects, and the edges of what
+# scaled_rows reads as plain (signs, spaces, underscores, non-ASCII digits)
 PARSE_CORPUS = (
     "3", "007", "1/40", "0.025", " 3 ", "+3", "-3/4", "3/-4", "3/ 4",
     "1_000/3", "٣/٤", "3/", "/3", "1e3", "",
@@ -222,6 +222,10 @@ def test_scaled_rows_matches_the_per_cell_definition():
 
 
 def test_scaled_rows_parses_each_distinct_literal_once_per_call(monkeypatch):
+    """Plain literals are read in bulk, with no ``to_ratio`` call; one
+    literal that is not plain sends every distinct literal of its matrix
+    through ``to_ratio``, once each; in-process numbers go once per cell;
+    and no call keeps anything for the next."""
     calls = []
 
     def counted(value):
@@ -232,12 +236,57 @@ def test_scaled_rows_parses_each_distinct_literal_once_per_call(monkeypatch):
     rtt, _ = bench_shaped(random.Random(3), 30, 2)
     distinct = set().union(*rtt)
     assert len(distinct) < 30 * 30 / 2
-    expected = per_cell_scaled_rows(rtt)
+    mixed = [row[:] for row in rtt]
+    mixed[4][7] = mixed[7][4] = "0.5"  # one literal that is not plain
     for _ in range(2):  # nothing is kept from one call to the next
         calls.clear()
-        assert scaled_rows(rtt) == expected
-        assert sorted(calls) == sorted(distinct)
+        assert scaled_rows(rtt) == per_cell_scaled_rows(rtt)
+        assert calls == []
+        calls.clear()
+        assert scaled_rows(mixed) == per_cell_scaled_rows(mixed)
+        assert sorted(calls) == sorted(set().union(*mixed))
     fractions = [[Fraction(cell) for cell in row] for row in rtt]
     calls.clear()
-    assert scaled_rows(fractions) == expected
+    assert scaled_rows(fractions) == per_cell_scaled_rows(rtt)
     assert len(calls) == 30 * 30
+
+
+# literals of every form the bulk path must refuse or read like to_ratio
+LITERAL_FORMS = (
+    "007", "0/9", "1_0/2", "٣/٤", "12", "3/10", "٣",
+    "5/0", "0/00", "1/", "/2", "1//2", "1/2/3", "1/-2", "",
+    "-1/2", "+3", " 4", "4 ", "1 /2",
+    "0.25", "1e3", "1.5e-3",
+    "1" * (MAX_DIGITS + 1), "0" * (MAX_DIGITS + 1), "1/" + "0" * MAX_DIGITS + "1",
+    "9" * MAX_DIGITS, "1/" + "9" * MAX_DIGITS,
+)
+
+
+def test_bulk_parse_matches_the_per_cell_definition():
+    """Seeded matrices that mix plain literals with each form above, and
+    with cells and rows that are not strings, give what the per-cell
+    definition gives: the same rows and scale, or the same exception type
+    and message (the first bad cell in row-major order)."""
+    rng = random.Random(31)
+    plain = ("0", "1", "7", "12", "3/10", "9/2", "101/5", "2/4", "0/3")
+    others = (True, None, [1], 3, Fraction(1, 3))
+    cases = []
+    for i in range(600):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = [[rng.choice(plain) for _ in range(m)] for _ in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            pool = LITERAL_FORMS + PARSE_CORPUS if rng.random() < 0.8 else others
+            matrix[rng.randrange(n)][rng.randrange(m)] = rng.choice(pool)
+        if i % 25 == 0:  # a ragged row, or a row that is a string
+            matrix[rng.randrange(n)] = rng.choice(([], ["1"], "12", ["1", "2/3", "4", "5"] * 2))
+        cases.append(matrix)
+    for form in LITERAL_FORMS + PARSE_CORPUS:  # each form alone and among plain cells
+        cases += [[[form]], [["0", "1/2"], ["1/2", form]], [[form, "0"], ["1", form]]]
+    rtt, demands = bench_shaped(random.Random(5), 300, 3)
+    cases += [rtt, demands]
+    odd = [row[:] for row in rtt]
+    odd[150][3] = "0.5"
+    cases.append(odd)
+    for matrix in cases:
+        expected = outcome(per_cell_scaled_rows, matrix)
+        assert outcome(scaled_rows, matrix) == expected, matrix
