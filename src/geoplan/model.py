@@ -37,7 +37,8 @@ cells; its per-cell loop runs only to word a negative cell.
 A spec computes what it derives once, on first use, and caches it on
 the spec object: ``validation``, the capacity expansion, ``nearest``
 (per node, every node in order of round-trip time, ties to the lower
-index) and ``wc_floors`` (the worst-case floors on the RTT scale).  The
+index, read by ``wc_floors`` and both evaluators but not by the supply
+graphs) and ``wc_floors`` (the worst-case floors on the RTT scale).  The
 ``Fraction`` views ``rtt`` and ``demands`` are cached the same way, for
 reports.
 """
@@ -121,8 +122,10 @@ class NetworkSpec:
         """Per node v, every node ordered by ``(rtt_scaled[v][u], u)``:
         nearest first, ties to the lower index.  v is among the first
         nodes at distance 0, not always the first.  Computed once per
-        spec object; the supply graphs, the worst-case floors and both
-        evaluators read it."""
+        spec object, for its three readers: ``wc_floors``,
+        ``evaluation.eval_uncoded`` and ``evaluation.eval_linear_code``.
+        ``nngraph.supplier_tiers`` reads each row directly, so a plan
+        builds this order only in the audit of a placement it found."""
         nodes = range(self.node_count)
         return tuple(tuple(sorted(nodes, key=row.__getitem__)) for row in self.rtt_scaled)
 
@@ -405,12 +408,13 @@ def _demand_checks(spec: NetworkSpec) -> list[Violation]:
                         )
                     )
     if not out:
-        total = Fraction(sum(map(sum, demands)), spec.demand_scale)
-        if abs(total - 1) > DEMAND_SUM_TOLERANCE:
+        # |total / scale - 1| > tolerance, compared on integers
+        total, scale, tol = sum(map(sum, demands)), spec.demand_scale, DEMAND_SUM_TOLERANCE
+        if abs(total - scale) * tol.denominator > tol.numerator * scale:
             out.append(
                 Violation(
                     "demand-sum",
-                    f"demand probabilities sum to {frac_str(total)}, expected 1",
+                    f"demand probabilities sum to {frac_str(Fraction(total, scale))}, expected 1",
                     "error",
                 )
             )

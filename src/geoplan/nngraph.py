@@ -5,15 +5,18 @@ fetch every file it does not hold locally from one of its k-1 closest
 peers.  The directed nearest-neighbor graph records, per node v, an
 in-edge from each of the k-1 nodes with the smallest round-trip time to
 v.  Ties in round-trip time make several such graphs valid.  They are
-the per-node choices ``supplier_tiers`` describes, which it reads off
-``NetworkSpec.nearest``, the spec's one nearest-first order per node.
-The planner works from those choices directly; ``enumerate_nngs``
-lists the graphs themselves (for export), ``build_nng`` returns the
-first of them, and ``first_supply_graph`` the first that admits a
-given placement, in one pass over the nodes with the files each node
-set holds kept as a bit mask.  Every tie breaks toward the lower node
-index, as in ``export --all-nngs`` order: ``tied`` peers are listed by
-index and their combinations taken lexicographically.
+the per-node choices ``supplier_tiers`` describes, which it reads
+straight from each node's RTT row: one plain sort for the threshold,
+``bisect`` for how many peers are nearer or tied, and index scans for
+which, so a plan builds no nearest-first order
+(``NetworkSpec.nearest``) before its audit.  The planner works from
+those choices directly; ``enumerate_nngs`` lists the graphs themselves
+(for export), ``build_nng`` returns the first of them, and
+``first_supply_graph`` the first that admits a given placement, in one
+pass over the nodes with the files each node set holds kept as a bit
+mask.  Every tie breaks toward the lower node index, as in ``export
+--all-nngs`` order: ``tied`` peers are listed by index and their
+combinations taken lexicographically.
 
 The undirected extension joins every node to its chosen in-neighbors
 and additionally joins those in-neighbors pairwise, which turns every
@@ -156,28 +159,46 @@ class SupplierTier(NamedTuple):
 def supplier_tiers(spec: NetworkSpec) -> tuple[SupplierTier, ...]:
     """Per node, the forced and tied suppliers every supply graph is built from.
 
-    Node v's suppliers are read from ``spec.nearest[v]``, that is by
-    ``rtt_scaled[v][s]``, the row of v.  Every spec ``require_valid``
-    accepts is symmetric, so rows and columns agree; on an unvalidated
-    asymmetric matrix, v's suppliers are the peers nearest from v.
-    Like ``nearest``, this assumes a zero diagonal and no negative RTT,
-    so v sits among the first nodes at distance 0.
+    Node v's tier is read from its row ``rtt_scaled[v]`` alone: the
+    threshold from one plain sort of the row, the counts of peers
+    strictly nearer and tied from ``bisect`` on those sorted distances,
+    and each such peer's index from a ``row.index`` scan, so ties go to
+    the lower index and no nearest-first order is built.  Every spec
+    ``require_valid`` accepts is symmetric, so rows and columns agree;
+    on an unvalidated asymmetric matrix, v's suppliers are the peers
+    nearest from v.  This assumes a zero diagonal and no negative RTT,
+    so v's own zero is among the row's smallest distances.
     """
     _check_buildable(spec)
     need = spec.file_count - 1
     if not need:
         return (SupplierTier(0, (), (), 0, ()),) * spec.node_count
     tiers = []
-    for v, (order, dist) in enumerate(zip(spec.nearest, spec.rtt_scaled)):
-        # v precedes its (k-1)-th nearest peer unless both are at distance
-        # 0, so that peer's distance is that of order[need] either way
-        threshold = dist[order[need]]
-        start = bisect_left(order, threshold, hi=need, key=dist.__getitem__)
-        end = bisect_right(order, threshold, lo=need + 1, key=dist.__getitem__)
-        forced = sorted(order[:start])
-        tied = list(order[start:end])
-        (forced if threshold else tied).remove(v)
-        forced, tied = tuple(forced), tuple(tied)
+    for v, row in enumerate(spec.rtt_scaled):
+        dist = sorted(row)
+        # v's own zero sorts first, so the (k-1)-th nearest peer is at dist[need]
+        threshold = dist[need]
+        start = bisect_left(dist, threshold, 0, need)
+        # the tied run, by index: each scan starts past the peer before
+        u = row.index(threshold)
+        tied = [u]
+        for _ in range(start + 1, bisect_right(dist, threshold, need + 1)):
+            u = row.index(threshold, u + 1)
+            tied.append(u)
+        if not threshold:
+            tied.remove(v)
+        forced = ()
+        if start > 1:  # peers other than v are strictly nearer
+            forced = []
+            u, prev = -1, None
+            for d in dist[1:start]:  # dist[0] stands for v's own zero
+                u = row.index(d, u + 1 if d == prev else 0)
+                if u == v:
+                    u = row.index(d, v + 1)
+                forced.append(u)
+                prev = d
+            forced = tuple(sorted(forced))
+        tied = tuple(tied)
         picks = need - len(forced)
         shared = tuple(sorted(forced + tied)) if picks == len(tied) else forced
         tiers.append(SupplierTier(threshold, forced, tied, picks, shared))

@@ -19,9 +19,10 @@ cells of other types can compare equal yet parse differently (``True ==
 distinct literal is plain, digits or digits/digits as files and the
 benchmark write them, the matrix is read in a few C-level passes over
 all its literals (split at the slash, one ``int`` map over the
-numerators, one scale factor per distinct denominator); any other
-matrix sends each distinct literal through ``to_ratio``, which reads it
-with ``Fraction``'s own parser.
+numerators, one scale factor per distinct denominator).  In any other
+literal matrix the plain literals are still read that way, and only
+the others go through ``to_ratio``, which reads each with
+``Fraction``'s own parser.
 
 A well-formed string literal whose digit run or exponent takes it past
 ``MAX_DIGITS`` digits is refused before any conversion, so neither the
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter, mul, not_
 
 from .errors import BudgetExceededError
 
@@ -112,9 +113,10 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     ``to_ratio(matrix[i][j])``, rows keep their lengths, and ``scale``
     is the lcm of the reduced denominators, so equal matrices give equal
     pairs.  When every distinct cell is exactly a ``str``, as every cell
-    read from a file is, each distinct literal is parsed once: all of
-    them together when all are plain (``_scaled_plain``), else one
-    ``to_ratio`` call each in row-major order of first use.  Each row is
+    read from a file is, each distinct literal is parsed once: the
+    plain ones all together (``_scaled_plain``), any others by one
+    ``to_ratio`` call each in row-major order of first use
+    (``_scaled_mixed``).  Each row is
     then read from that memo of literal to scaled value with one
     ``itemgetter(*row)`` call; in-process numbers are parsed once per
     cell (see the module docstring for why).  The memo lives for this
@@ -142,7 +144,7 @@ def scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
             literal = False
     if not literal:
         cells = chain.from_iterable(rows)
-    scaled = literal and _scaled_plain(cells)
+    scaled = literal and (_scaled_plain(cells) or _scaled_mixed(cells))
     if scaled:
         values, scale = scaled
     else:
@@ -202,6 +204,31 @@ def _scaled_plain(literals) -> tuple[list[int], int] | None:
         return [*map(mul, map(int, nums), map(factor.__getitem__, dens))], scale
     except ValueError:  # an empty numerator
         return None
+
+
+def _scaled_mixed(literals) -> tuple[list[int], int] | None:
+    """``_scaled_plain`` for distinct string ``literals`` of which only
+    some are plain: the plain-shaped ones (digits with at most one
+    slash) are read together by ``_scaled_plain`` and only the others,
+    in first-use order, by ``to_ratio``.  None when no literal is
+    plain-shaped, or when ``_scaled_plain`` refuses the plain-shaped
+    ones, which it does only for a literal that ``to_ratio`` refuses too
+    (a zero denominator, an empty side of the slash, a run past
+    ``MAX_DIGITS``).  The caller's ``to_ratio`` pass over every literal
+    then raises at the first bad one in first-use order."""
+    shaped = [*map(str.isdecimal, map(str.replace, literals, repeat("/"), repeat(""), repeat(1)))]
+    plain = any(shaped) and _scaled_plain(compress(literals, shaped))
+    if not plain:
+        return None
+    values, plain_scale = plain
+    ratios = [*map(to_ratio, compress(literals, map(not_, shaped)))]
+    scale = lcm(plain_scale, *{q for _, q in ratios})
+    # each literal takes the next value of its own kind, in first-use order
+    sources = (
+        iter([p * (scale // q) for p, q in ratios]),
+        map(mul, values, repeat(scale // plain_scale)),
+    )
+    return [*map(next, map(sources.__getitem__, shaped))], scale
 
 
 def lowest_terms(rows, scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -104,6 +104,18 @@ def test_demand_sum_tolerance():
     way_off = gp.make_spec(("X", "Y"), ((0, 1), (1, 0)), ((1, 0), (0, 1)), 2)
     assert "demand-sum" in kinds(gp.validate_spec(way_off))
 
+    # the tolerance is inclusive: a total exactly 10^-9 from 1 passes
+    for sign in (1, -1):
+        edge = Fraction(1, 2) + sign * Fraction(1, 10**9)
+        spec = gp.make_spec(("X", "Y"), ((0, 1), (1, 0)), ((edge, 0), (0, Fraction(1, 2))), 2)
+        assert gp.validate_spec(spec).ok
+        past = Fraction(1, 2) + sign * Fraction(2, 10**9)
+        spec = gp.make_spec(("X", "Y"), ((0, 1), (1, 0)), ((past, 0), (0, Fraction(1, 2))), 2)
+        (violation,) = gp.validate_spec(spec).errors
+        assert violation.kind == "demand-sum"
+        total = "500000001/500000000" if sign > 0 else "499999999/500000000"
+        assert violation.message == f"demand probabilities sum to {total}, expected 1"
+
 
 def test_capacity_checks():
     half = Fraction(1, 2)

@@ -222,10 +222,10 @@ def test_scaled_rows_matches_the_per_cell_definition():
 
 
 def test_scaled_rows_parses_each_distinct_literal_once_per_call(monkeypatch):
-    """Plain literals are read in bulk, with no ``to_ratio`` call; one
-    literal that is not plain sends every distinct literal of its matrix
-    through ``to_ratio``, once each; in-process numbers go once per cell;
-    and no call keeps anything for the next."""
+    """Plain literals are read in bulk, with no ``to_ratio`` call, also
+    beside a literal that is not plain, which alone goes through
+    ``to_ratio``, once; in-process numbers go once per cell; and no call
+    keeps anything for the next."""
     calls = []
 
     def counted(value):
@@ -244,7 +244,7 @@ def test_scaled_rows_parses_each_distinct_literal_once_per_call(monkeypatch):
         assert calls == []
         calls.clear()
         assert scaled_rows(mixed) == per_cell_scaled_rows(mixed)
-        assert sorted(calls) == sorted(set().union(*mixed))
+        assert calls == ["0.5"]
     fractions = [[Fraction(cell) for cell in row] for row in rtt]
     calls.clear()
     assert scaled_rows(fractions) == per_cell_scaled_rows(rtt)
