@@ -168,10 +168,20 @@ class LinearCode:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearCode":
+        """Read ``{"q": ..., "generator": [[...], ...]}``.  The entry types
+        are checked in one pass; only when one is not exactly ``int``
+        does the per-entry walk run, to name the first bad entry (or row
+        that is not a list) in row-major order."""
         try:
             q = data["q"]
-            gen = tuple(tuple(require_int(x, "generator entry") for x in row)
-                        for row in data["generator"])
+            gen = list(data["generator"])
+            try:
+                gen = tuple(map(tuple, gen))
+                exact = {*map(type, chain.from_iterable(gen))} <= {int}
+            except TypeError:  # a row that is not a list
+                exact = False
+            if not exact:
+                gen = tuple(tuple(require_int(x, "generator entry") for x in row) for row in gen)
         except (KeyError, TypeError) as exc:
             raise InvalidInputError(f"malformed code description: {exc}") from exc
         return cls(field_order=require_int(q, "field order q"), generator=gen)

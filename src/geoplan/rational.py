@@ -46,6 +46,7 @@ MAX_DIGITS = 1000
 _BOUND = 10**MAX_DIGITS  # built once: each power costs microseconds
 #: Digits after the point in ``frac_decimal``.
 DECIMAL_PLACES = 6
+_DECIMAL_SCALE = 10**DECIMAL_PLACES
 #: A run of digits, single underscores allowed between them as ``int`` does.
 _DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 #: A decimal literal with an exponent, as ``Fraction`` reads one.
@@ -254,8 +255,11 @@ def frac_str(value: Fraction) -> str:
 
 def frac_decimal(value: Fraction) -> str:
     """Fixed-point decimal rendering to ``DECIMAL_PLACES`` places with
-    round-half-to-even."""
-    f = Fraction(value)
-    # round() of a Fraction rounds half to even
-    digits = str(round(abs(f) * 10**DECIMAL_PLACES)).rjust(DECIMAL_PLACES + 1, "0")
-    return f"{'-' if f < 0 else ''}{digits[:-DECIMAL_PLACES]}.{digits[-DECIMAL_PLACES:]}"
+    round-half-to-even, from one integer divmod of the ratio."""
+    p, q = value.as_integer_ratio()
+    digits, rest = divmod(abs(p) * _DECIMAL_SCALE, q)
+    rest *= 2
+    if rest > q or rest == q and digits & 1:
+        digits += 1
+    digits = str(digits).rjust(DECIMAL_PLACES + 1, "0")
+    return f"{'-' if p < 0 else ''}{digits[:-DECIMAL_PLACES]}.{digits[-DECIMAL_PLACES:]}"

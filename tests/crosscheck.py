@@ -32,7 +32,12 @@ placement counted once through its sibling-sorted representative,
 kept as the reference its depth-first search must reproduce.
 ``per_cell_scaled_rows`` parses every matrix cell on its own, the
 definition ``geoplan.rational.scaled_rows`` must reproduce while it
-parses each distinct string literal once.  ``rref_solution_space`` and
+parses each distinct string literal once, and ``fraction_decimal``
+rounds through ``Fraction`` arithmetic and ``round``, the definition
+``geoplan.rational.frac_decimal`` reproduces on integers.
+``carry_less_mul`` and ``carry_less_inv`` multiply and invert in
+GF(2^m) bit by bit, the reference for ``geoplan.gf.BinaryField``'s
+log/antilog tables.  ``rref_solution_space`` and
 ``rref_matrix_rank`` solve and rank through a full-width reduced row
 echelon form with its accumulated transform, the reference for
 ``geoplan.gf``'s column-by-column elimination that stops at the k-th
@@ -61,7 +66,7 @@ from geoplan.assignment import _lex_min_zero_assignment
 from geoplan.evaluation import _as_placement, _code_matrix
 from geoplan.gf import _eliminate
 from geoplan.nngraph import SupplierTier
-from geoplan.rational import _BOUND, MAX_DIGITS, lowest_terms, to_ratio
+from geoplan.rational import _BOUND, DECIMAL_PLACES, MAX_DIGITS, lowest_terms, to_ratio
 
 #: largest matrix brute_force_assignment will accept (k! blowup)
 BRUTE_FORCE_LIMIT = 9
@@ -551,6 +556,40 @@ def per_cell_scaled_rows(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     if max(map(abs, chain((scale,), *rows))) >= _BOUND:
         raise gp.BudgetExceededError(f"a matrix needs numbers of more than {MAX_DIGITS} digits")
     return rows, scale
+
+
+def fraction_decimal(value: Fraction) -> str:
+    """``frac_decimal`` by its definition: round() of a Fraction rounds
+    half to even."""
+    f = Fraction(value)
+    digits = str(round(abs(f) * 10**DECIMAL_PLACES)).rjust(DECIMAL_PLACES + 1, "0")
+    return f"{'-' if f < 0 else ''}{digits[:-DECIMAL_PLACES]}.{digits[-DECIMAL_PLACES:]}"
+
+
+def carry_less_mul(f, a: int, b: int) -> int:
+    """a * b in the binary field ``f``: a carry-less multiply, reducing
+    by ``f.modulus`` whenever a shift of ``a`` reaches degree m."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        if a & f.order:
+            a ^= f.modulus
+        b >>= 1
+    return r
+
+
+def carry_less_inv(f, a: int) -> int:
+    """a^(q - 2), the inverse of a nonzero ``a`` in the binary field
+    ``f``, by square-and-multiply over ``carry_less_mul``."""
+    r, e = 1, f.order - 2
+    while e:
+        if e & 1:
+            r = carry_less_mul(f, r, a)
+        a = carry_less_mul(f, a, a)
+        e >>= 1
+    return r
 
 
 def _rref(f, rows: list[list[int]]):

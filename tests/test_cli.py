@@ -571,17 +571,34 @@ def test_bare_numeric_ids_are_kept_as_written(tmp_path, capsys):
 @pytest.mark.parametrize("entry", [1.5, True, "2"], ids=["float", "bool", "string"])
 @pytest.mark.parametrize("where", ["generator", "q"])
 def test_eval_refuses_a_code_entry_that_is_not_an_integer(tmp_path, capsys, entry, where):
-    code = gp.mds_code(4, 3, field_order=7).to_dict()
+    """A bad generator entry is named wherever it sits: in the middle,
+    first, last, and ahead of a second bad entry (``None``), whether
+    that one follows in the same row or in a later one."""
     if where == "q":
-        code["q"] = entry
+        placements = [{"q": entry}]
     else:
-        code["generator"][1][2] = entry
-    code_file = tmp_path / "code.json"
-    code_file.write_text(json.dumps(code))
-    assert cli.main(["eval", "--spec", EX1, "--code", str(code_file)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:") and f"{entry!r} is not an integer" in err
+        placements = [
+            {(1, 2): entry},
+            {(0, 0): entry},
+            {(3, 2): entry},
+            {(1, 2): entry, (2, 0): None},
+            {(1, 0): entry, (1, 1): None},
+            {(0, 2): entry, (3, 2): None},
+        ]
+    for placement in placements:
+        code = gp.mds_code(4, 3, field_order=7).to_dict()
+        for at, bad in placement.items():
+            if at == "q":
+                code["q"] = bad
+            else:
+                code["generator"][at[0]][at[1]] = bad
+        code_file = tmp_path / "code.json"
+        code_file.write_text(json.dumps(code))
+        assert cli.main(["eval", "--spec", EX1, "--code", str(code_file)]) == 1, placement
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and f"{entry!r} is not an integer" in err, placement
+        assert "None" not in err
 
 
 @pytest.mark.parametrize("entry", [8, 11, -1])

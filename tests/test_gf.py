@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from crosscheck import matrix_rank, rref_matrix_rank, rref_solution_space
+from crosscheck import (
+    carry_less_inv,
+    carry_less_mul,
+    matrix_rank,
+    rref_matrix_rank,
+    rref_solution_space,
+)
+from geoplan import gf
 from geoplan.errors import InvalidInputError
 from geoplan.gf import (
     BinaryField,
@@ -16,6 +28,8 @@ from geoplan.gf import (
     is_prime,
     solution_space,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_is_prime():
@@ -86,10 +100,55 @@ def test_binary_field_known_products():
 
 
 def test_binary_field_inverses_exhaustive():
+    """a * inv(a) = 1, and ``mul`` and ``inv`` agree with the bit-by-bit
+    reference: on every pair up to GF(2^8), on seeded pairs above."""
     for order in (4, 8, 256):
         f = field(order)
         for a in range(1, order):
             assert f.mul(a, f.inv(a)) == 1
+    rng = random.Random(16)
+    for m in range(1, 17):
+        f = BinaryField(m)
+        q = f.order
+        if m <= 8:
+            pairs = product(range(q), repeat=2)
+            nonzero = range(1, q)
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+            pairs += [(0, rng.randrange(q)), (rng.randrange(q), 0), (1, q - 1), (q - 1, q - 1)]
+            nonzero = [1, q - 1, *(rng.randrange(1, q) for _ in range(200))]
+        assert all(f.mul(a, b) == carry_less_mul(f, a, b) for a, b in pairs), m
+        assert all(f.inv(a) == carry_less_inv(f, a) for a in nonzero), m
+        with pytest.raises(ZeroDivisionError):
+            f.inv(0)
+
+
+def test_binary_field_tables_are_built_on_first_use_only():
+    """Importing geoplan and making GF(2^16) builds no table; the first
+    product builds that order's tables once for every field object."""
+    script = (
+        "import geoplan, geoplan.gf as gf\n"
+        "f = gf.field(1 << 16)\n"
+        "print(sorted(gf._TABLES))\n"
+        "f.mul(3, 5)\n"
+        "tables = gf._TABLES[16]\n"
+        "gf.field(1 << 16).inv(7)\n"
+        "print(sorted(gf._TABLES), gf._TABLES[16] is tables)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.splitlines() == ["[]", "[16] True"]
+
+
+@pytest.mark.parametrize("modulus", [0b11111, 0b10101], ids=["x-of-order-5", "reducible"])
+def test_binary_field_tables_refuse_a_polynomial_x_does_not_generate(monkeypatch, modulus):
+    monkeypatch.setitem(gf._REDUCTION, 4, modulus)
+    monkeypatch.setattr(gf, "_TABLES", {})
+    with pytest.raises(ValueError, match="not primitive"):
+        BinaryField(4).mul(2, 3)
+    assert gf._TABLES == {}
 
 
 def test_coerce():

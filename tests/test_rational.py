@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import geoplan.rational
-from crosscheck import per_cell_scaled_rows
+from crosscheck import fraction_decimal, per_cell_scaled_rows
 from geoplan.errors import BudgetExceededError
 from geoplan.rational import MAX_DIGITS, frac_decimal, frac_str, scaled_rows, to_ratio
 
@@ -63,6 +63,34 @@ def test_frac_decimal():
 def test_frac_decimal_half_to_even():
     assert frac_decimal(Fraction(1, 2_000_000)) == "0.000000"
     assert frac_decimal(Fraction(3, 2_000_000)) == "0.000002"
+
+
+def _decimal_outcome(render, value):
+    try:
+        return render(value)
+    except ValueError as exc:  # a quotient past the int-to-str digit limit
+        return type(exc)
+
+
+def test_frac_decimal_matches_the_fraction_definition():
+    """The integer rounding renders what ``round`` of a ``Fraction`` does:
+    exact halves of both parities, values just either side of a half,
+    negatives that round to zero, ints, and numerators and denominators
+    of up to 1,200 digits."""
+    rng = random.Random(6)
+    values = [Fraction(0), Fraction(-1, 2_000_000), 0, 7, -3, Fraction(10**4400, 3)]
+    for _ in range(2000):
+        digits = rng.choice((1, 3, 7, 20, 300, 1200))
+        p = rng.randrange(10**digits) * rng.choice((1, -1))
+        q = rng.randrange(1, 10 ** rng.choice((1, 4, 7, 20, 300, 1200)))
+        values.append(Fraction(p, q))
+        # a multiple of half a millionth, and its neighbours
+        half = Fraction(2 * rng.randrange(10**digits) + 1, 2 * 10**6) * rng.choice((1, -1))
+        nudge = Fraction(1, rng.randrange(1, 10**digits) * 10**7)
+        values += [half, half + nudge, half - nudge]
+    assert sum(Fraction(v) * 2 * 10**6 % 2 == 1 for v in values) >= 2000
+    for value in values:
+        assert _decimal_outcome(frac_decimal, value) == _decimal_outcome(fraction_decimal, value)
 
 
 # strings Fraction accepts, strings it rejects, and the edges of what
